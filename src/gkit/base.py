@@ -19,7 +19,7 @@ arithmetic "compute in A, then renormalize".
 import math
 
 from . import cohen
-from .basefield import BaseFieldElem, EtaleAlgebra, PrimeParams
+from .basefield import BaseFieldElem, EtaleAlgebra, PrimeParams, power_table, quotient_mul
 from .errors import (
     InternalError,
     NotAUnit,
@@ -423,19 +423,7 @@ class LiftedEtale:
         alg = base.algebra()
         self.coeffs = tuple(alg.teich(c) for c in q.coeffs)
         self.deg = q.deg
-        self._reduction = self._power_table()
-
-    def _power_table(self):
-        alg = self.base.algebra()
-        table = []
-        row = [-c for c in self.coeffs[:-1]]
-        table.append(tuple(row))
-        for _ in range(self.deg - 2):
-            shifted = [alg.zero()] + row[:-1]
-            top = row[-1]
-            row = [a + top * b for a, b in zip(shifted, table[0])]
-            table.append(tuple(row))
-        return table
+        self._reduction = power_table(self.coeffs, alg.zero())
 
     def zero(self):
         return LiftedEtaleElem(self, (self.base.algebra().zero(),) * self.deg)
@@ -489,22 +477,11 @@ class LiftedEtaleElem:
         return LiftedEtaleElem(self.parent, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
-        deg = self.parent.deg
-        alg = self.parent.base.algebra()
-        zero = alg.zero()
-        conv = [zero] * (2 * deg - 1)
-        for i, a in enumerate(self.coords):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coords):
-                if not b.is_zero():
-                    conv[i + j] = conv[i + j] + a * b
-        out = list(conv[:deg])
-        for excess, coeffs in enumerate(self.parent._reduction):
-            c = conv[deg + excess] if deg + excess < len(conv) else zero
-            if not c.is_zero():
-                out = [a + c * b for a, b in zip(out, coeffs)]
-        return LiftedEtaleElem(self.parent, tuple(out))
+        parent = self.parent
+        coords = quotient_mul(
+            self.coords, other.coords, parent._reduction, parent.base.algebra().zero()
+        )
+        return LiftedEtaleElem(parent, coords)
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)

@@ -14,18 +14,35 @@ of values coincides with equality of representations.
 import itertools
 
 from . import linalg
-from .errors import DivisionByZero, NotAPthPower, NotAUnit, TypeMismatch
+from .errors import DivisionByZero, InternalError, NotAPthPower, NotAUnit, TypeMismatch
 from .polys import FpDomain, SparsePoly, exact_div, poly_gcd, poly_pth_root
 
-_SMALL_PRIMES = {2, 3, 5, 7, 11, 13}
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981  # first composite passing all bases
 
 
 def _is_prime(n):
+    """Miller-Rabin with the first 13 prime bases: exact below _MR_BOUND."""
     if n < 2:
         return False
-    if n in _SMALL_PRIMES:
+    if n in _MR_BASES:
         return True
-    return all(n % q for q in range(2, int(n**0.5) + 1))
+    if n >= _MR_BOUND:
+        raise TypeMismatch(f"primality of p >= {_MR_BOUND} is not decided")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class PrimeParams:
@@ -311,21 +328,9 @@ class EtaleAlgebra:
         self.name = name
         if not _univar_coprime(coeffs, _univar_derivative(coeffs, params), params):
             raise TypeMismatch("defining polynomial is not separable")
-        self._reduction = self._power_table()
+        self._reduction = power_table(coeffs, params.zero())
         self._frob = None
         self._digit_matrix = None
-
-    def _power_table(self):
-        """Coordinates of y^deg .. y^(2deg-2) modulo g."""
-        table = []
-        row = [-c for c in self.coeffs[:-1]]
-        table.append(tuple(row))
-        for _ in range(self.deg - 2):
-            shifted = [self.params.zero()] + row[:-1]
-            top = row[-1]
-            row = [a + top * b for a, b in zip(shifted, table[0])]
-            table.append(tuple(row))
-        return table
 
     def zero(self):
         return EtaleElem(self, (self.params.zero(),) * self.deg)
@@ -427,21 +432,10 @@ class EtaleElem:
 
     def __mul__(self, other):
         self._check(other)
-        deg = self.algebra.deg
-        zero = self.params.zero()
-        conv = [zero] * (2 * deg - 1)
-        for i, a in enumerate(self.coords):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coords):
-                if not b.is_zero():
-                    conv[i + j] = conv[i + j] + a * b
-        out = list(conv[:deg])
-        for excess, coeffs in enumerate(self.algebra._reduction):
-            c = conv[deg + excess] if deg + excess < len(conv) else zero
-            if not c.is_zero():
-                out = [a + c * b for a, b in zip(out, coeffs)]
-        return EtaleElem(self.algebra, tuple(out))
+        coords = quotient_mul(
+            self.coords, other.coords, self.algebra._reduction, self.params.zero()
+        )
+        return EtaleElem(self.algebra, coords)
 
     def __pow__(self, n):
         out = self.algebra.one()
@@ -506,7 +500,13 @@ class EtaleElem:
             dig = self.coords[m].digits()
             for kappa in idxs:
                 rhs.append(dig[kappa])
-        sol = linalg.solve_square(matrix, rhs, params.zero())
+        n = len(matrix)
+        rows, pivots = linalg.row_reduce(
+            [row + [b] for row, b in zip(matrix, rhs)], params.zero()
+        )
+        if pivots != list(range(n)):
+            raise InternalError("singular linear system")
+        sol = [row[n] for row in rows]
         out = {}
         pos = 0
         for i in idxs:
@@ -560,6 +560,42 @@ class EtaleElem:
 
     def __repr__(self):
         return f"<Q {self}>"
+
+
+# -- quotient rings R[y]/(g) on power-basis coordinates ----------------------
+
+
+def power_table(coeffs, zero):
+    """Coordinates of y^deg .. y^(2deg-2) modulo the monic g with
+    coefficients ``coeffs`` (constant term first)."""
+    deg = len(coeffs) - 1
+    row = [-c for c in coeffs[:-1]]
+    table = [tuple(row)]
+    for _ in range(deg - 2):
+        shifted = [zero] + row[:-1]
+        top = row[-1]
+        row = [a + top * b for a, b in zip(shifted, table[0])]
+        table.append(tuple(row))
+    return table
+
+
+def quotient_mul(a, b, table, zero):
+    """Product of two coordinate vectors in R[y]/(g), reduced by the
+    power table of g."""
+    deg = len(a)
+    conv = [zero] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            if not y.is_zero():
+                conv[i + j] = conv[i + j] + x * y
+    out = conv[:deg]
+    for excess, row in enumerate(table):
+        c = conv[deg + excess] if deg + excess < len(conv) else zero
+        if not c.is_zero():
+            out = [x + c * y for x, y in zip(out, row)]
+    return tuple(out)
 
 
 # -- dense univariate helpers over k (lists of BaseFieldElem) ----------------

@@ -23,16 +23,19 @@ from .errors import (
     UnknownIdentifier,
 )
 from .dsl import parse
+from .polys import ElemDomain, SparsePoly
 from .rings import FieldRing, IntegerRing
 
 
 class SessionConfig:
+    """Run settings.  ``jobs`` is validated and otherwise ignored: equation
+    expansion is serial."""
+
     def __init__(self, jobs=1, seed=0, stage=0, monomial_cap=None, symbol_cap=None):
         if jobs < 1:
             raise TypeMismatch("--jobs must be >= 1")
         if stage < 0:
             raise TypeMismatch("--stage must be >= 0")
-        self.jobs = jobs
         self.seed = seed
         self.stage = stage
         self.monomial_cap = (
@@ -46,7 +49,12 @@ class SessionConfig:
     def from_env(cls, jobs=1, seed=0, stage=0, env=os.environ):
         def cap(name):
             raw = env.get(name)
-            return int(raw) if raw else None
+            if not raw:
+                return None
+            try:
+                return int(raw)
+            except ValueError:
+                raise TypeMismatch(f"{name}={raw!r} is not an integer") from None
 
         return cls(jobs, seed, stage, cap("GKIT_MONOMIAL_CAP"), cap("GKIT_SYMBOL_CAP"))
 
@@ -123,73 +131,14 @@ def eval_k(ast, params):
     raise TypeMismatch(f"not a residue-field expression: {kind}")
 
 
-class VarPoly:
-    """A polynomial in scheme variables with base-ring coefficients."""
-
-    def __init__(self, algebra, nvars, terms):
-        self.algebra = algebra
-        self.nvars = nvars
-        self.terms = terms  # exps tuple -> BaseElem
-
-    @classmethod
-    def constant(cls, algebra, nvars, value):
-        if value.is_zero():
-            return cls(algebra, nvars, {})
-        return cls(algebra, nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, algebra, nvars, index):
-        e = [0] * nvars
-        e[index] = 1
-        return cls(algebra, nvars, {tuple(e): algebra.one()})
-
-    def _merge(self, exps, value, terms):
-        prev = terms.get(exps)
-        s = prev + value if prev is not None else value
-        if s.is_zero():
-            terms.pop(exps, None)
-        else:
-            terms[exps] = s
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for e, v in other.terms.items():
-            self._merge(e, v, terms)
-        return VarPoly(self.algebra, self.nvars, terms)
-
-    def __neg__(self):
-        return VarPoly(self.algebra, self.nvars, {e: -v for e, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        terms = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                self._merge(e, v1 * v2, terms)
-        return VarPoly(self.algebra, self.nvars, terms)
-
-    def __pow__(self, n):
-        out = VarPoly.constant(self.algebra, self.nvars, self.algebra.one())
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-
 def eval_ring_poly(ast, session, base, variables):
     """Evaluate an expression over a base ring, with scheme variables."""
     algebra = base.algebra()
+    domain = ElemDomain(algebra.zero(), algebra.one())
     nvars = len(variables)
 
     def const(v):
-        return VarPoly.constant(algebra, nvars, v)
+        return SparsePoly.constant(domain, nvars, v)
 
     def walk(node):
         kind = node[0]
@@ -198,7 +147,7 @@ def eval_ring_poly(ast, session, base, variables):
         if kind == "name":
             name = node[1]
             if name in variables:
-                return VarPoly.variable(algebra, nvars, variables.index(name))
+                return SparsePoly.variable(domain, nvars, variables.index(name))
             if name == "p":
                 return const(algebra.p())
             if name == "pi":
@@ -240,8 +189,7 @@ def eval_ring_poly(ast, session, base, variables):
 
 
 def eval_base_elem(ast, session, base):
-    poly = eval_ring_poly(ast, session, base, [])
-    return poly.terms.get((), base.algebra().zero())
+    return eval_ring_poly(ast, session, base, []).constant_value()
 
 
 def eval_pi_poly(ast, session, m):
@@ -386,7 +334,6 @@ class Session:
             self._presentations[key] = greenberg.greenberg_transform(
                 self.scheme(scheme_name),
                 stage=stage,
-                jobs=self.config.jobs,
                 monomial_cap=self.config.monomial_cap,
                 symbol_cap=self.config.symbol_cap,
             )
@@ -410,8 +357,7 @@ class Session:
     def _witt_vector(self, entries_ast, flags):
         ring_name = flags.get("ring", "k")
         if ring_name == "int":
-            ring = IntegerRing()
-            witt.set_ambient_prime(ring, self._need_base().p)
+            ring = IntegerRing(self._need_base().p)
             return witt.WittVector(ring, tuple(eval_int(a) for a in entries_ast))
         if ring_name == "k":
             params = self._need_base()
@@ -570,7 +516,7 @@ def main(argv=None):
     ap.add_argument("shortcut", nargs="?", choices=["selftest"], help="run the selftest without a script")
     ap.add_argument("--script", help="script file to execute")
     ap.add_argument("--out", help="write JSON lines here instead of stdout")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel equation expansion")
+    ap.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; no effect")
     ap.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     ap.add_argument("--stage", type=int, default=0, help="default restriction stage")
     args = ap.parse_args(argv)
@@ -583,8 +529,8 @@ def main(argv=None):
     else:
         ap.error("need --script FILE or the selftest shortcut")
 
-    config = SessionConfig.from_env(jobs=args.jobs, seed=args.seed, stage=args.stage)
     try:
+        config = SessionConfig.from_env(jobs=args.jobs, seed=args.seed, stage=args.stage)
         session = run_script(text, config)
         records = session.results
         failed = session.failed

@@ -15,13 +15,11 @@ Q^(p) = Q[T_1..T_d]/(T_j^p - t_j) and collecting on the T-basis; iterating
 it realizes finite stages of relative perfection.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 from . import cohen
 from .base import ArtinianBase
 from .basefield import pbasis_expand
 from .errors import NotASolution, ResourceLimit, TypeMismatch, UnsupportedBase
-from .polys import SparsePoly
+from .polys import SparsePoly, eval_terms
 from .rings import SymbolicRing, format_sym_poly, multi_indices
 
 DEFAULT_MONOMIAL_CAP = 20_000
@@ -38,15 +36,7 @@ class AffinePresentation:
         self.equations = [dict(eq) for eq in equations]
 
     def evaluate(self, eq_index, algebra, values):
-        eq = self.equations[eq_index]
-        acc = algebra.zero()
-        for exps, coeff in sorted(eq.items()):
-            term = algebra.embed(coeff)
-            for v, e in enumerate(exps):
-                if e:
-                    term = term * values[v] ** e
-            acc = acc + term
-        return acc
+        return eval_terms(self.equations[eq_index], values, algebra.embed, algebra.zero())
 
     def evaluate_all(self, algebra, values):
         return [self.evaluate(i, algebra, values) for i in range(len(self.equations))]
@@ -91,23 +81,13 @@ class GreenbergPresentation:
             "stage": self.stage,
         }
 
-    def substitute_values(self, values):
-        """Evaluate every equation at a full symbol assignment (k-elements)."""
-        zero = self.params.zero()
-        out = []
-        for q in self.equations:
-            acc = zero
-            for exps, c in q.terms.items():
-                term = c
-                for v, e in enumerate(exps):
-                    if e:
-                        term = term * values[v] ** e
-                acc = acc + term
-            out.append(acc)
-        return out
-
     def is_solution(self, values):
-        return all(v.is_zero() for v in self.substitute_values(values))
+        """Whether a full symbol assignment (k-elements) solves every equation."""
+        zero = self.params.zero()
+        return all(
+            eval_terms(q.terms, values, lambda c: c, zero).is_zero()
+            for q in self.equations
+        )
 
     def stage0_symbol_count(self):
         return sum(len(slots) for slots in self.layout.values())
@@ -136,7 +116,6 @@ def _slot_symbols(base, variables, symbol_cap):
 def greenberg_transform(
     X: AffinePresentation,
     stage=0,
-    jobs=1,
     monomial_cap=DEFAULT_MONOMIAL_CAP,
     symbol_cap=DEFAULT_SYMBOL_CAP,
 ):
@@ -158,22 +137,13 @@ def greenberg_transform(
             )
         )
 
-    def expand(eq_index):
+    equations = []
+    for eq_index in range(len(X.equations)):
         value = X.evaluate(eq_index, algebra, generic)
-        eqs = []
         for j, i in cohen.slot_indices(base.field_ring, base.m):
             for w in range(base.e):
-                if j >= base.component_bound(w):
-                    continue
-                eqs.append(value.components[w].coords.get((j, i), ring.zero()))
-        return eqs
-
-    if jobs > 1 and len(X.equations) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(expand, range(len(X.equations))))
-    else:
-        groups = [expand(i) for i in range(len(X.equations))]
-    equations = [q for group in groups for q in group]
+                if j < base.component_bound(w):
+                    equations.append(value.components[w].coords.get((j, i), ring.zero()))
     pres = GreenbergPresentation(base, X.variables, symbols, equations, 0, layout, [])
     for _ in range(stage):
         pres = weil_restrict_presentation(pres, monomial_cap, symbol_cap)
@@ -311,21 +281,6 @@ def weil_restrict(params, symbols, equations, monomial_cap=None, symbol_cap=None
                 SparsePoly(out_ring.domain, len(new_symbols), buckets[i])
             )
     return new_symbols, new_equations, children
-
-
-def eval_sym_poly(poly, values, from_k):
-    """Evaluate a polynomial over k at ring elements; ``from_k`` embeds the
-    coefficients.  Used to transport solutions into twisted algebras."""
-    acc = None
-    for exps, c in poly.sorted_terms():
-        term = from_k(c)
-        for v, e in enumerate(exps):
-            if e:
-                term = term * values[v] ** e
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return from_k(poly.domain.zero)
-    return acc
 
 
 def weil_restrict_presentation(pres, monomial_cap=None, symbol_cap=None):
@@ -531,9 +486,7 @@ def unit_locus_agrees(X: AffinePresentation, pres, g_equation, point):
     """g(P) is a unit in A iff the level-0 digit vector of its canonical
     coordinates is nonzero; returns (unit?, digit-vector-nonzero?)."""
     algebra = X.base.algebra()
-    value = AffinePresentation(X.base, X.variables, [g_equation]).evaluate(
-        0, algebra, point
-    )
+    value = eval_terms(g_equation, point, algebra.embed, algebra.zero())
     is_unit = not value.algebra.ring.is_zero(value.residue())
     level0 = [
         x for (j, _), x in value.components[0].coords.items() if j == 0

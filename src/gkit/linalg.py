@@ -2,32 +2,8 @@
 
 Elements must support +, -, *, ==, and .inverse(); the zero element is
 passed explicitly.  Used for the semilinear digit solves on etale algebras
-and for linearized kernel computations.
+(on the augmented matrix) and for linearized kernel computations.
 """
-
-from .errors import InternalError
-
-
-def solve_square(matrix, rhs, zero):
-    """Solve M x = b for square M; raises InternalError if singular."""
-    n = len(matrix)
-    m = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != zero:
-                pivot = r
-                break
-        if pivot is None:
-            raise InternalError("singular linear system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col].inverse()
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != zero:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
 
 
 def row_reduce(matrix, zero):

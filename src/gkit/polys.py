@@ -5,8 +5,9 @@ nonzero coefficients.  The same core drives three instantiations:
 
 * ``FpDomain`` -- coefficients in the prime field F_p (ints in [0, p)),
 * ``IntDomain`` -- integer coefficients (universal Witt structure polynomials),
-* ``ElemDomain`` -- coefficients in an exact field given by Python objects
-  with arithmetic dunders (rational function fields, etale algebras).
+* ``ElemDomain`` -- coefficients given by Python objects with arithmetic
+  dunders (rational function fields, etale algebras, and the base rings
+  of scheme equations; division needs a field).
 
 Monomial order is graded lexicographic throughout: compare total degree,
 then the exponent tuple.
@@ -83,7 +84,8 @@ class IntDomain:
 
 
 class ElemDomain:
-    """Coefficients taken from an exact field object (dunder arithmetic)."""
+    """Coefficients taken from exact ring objects (dunder arithmetic);
+    ``inv`` needs a field."""
 
     def __init__(self, zero, one):
         self.zero = zero
@@ -300,6 +302,25 @@ class SparsePoly:
         return out
 
 
+def eval_terms(terms, values, embed, zero):
+    """Evaluate a terms mapping (exponent tuple -> coefficient) at ring
+    elements with dunder arithmetic; ``embed`` carries each coefficient
+    into the ring of the values, and each power is computed once per call.
+    The empty mapping evaluates to ``embed(zero)``."""
+    powers = {}
+    acc = None
+    for exps in sorted(terms):
+        term = embed(terms[exps])
+        for v, e in enumerate(exps):
+            if e:
+                power = powers.get((v, e))
+                if power is None:
+                    power = powers[v, e] = values[v] ** e
+                term = term * power
+        acc = term if acc is None else acc + term
+    return embed(zero) if acc is None else acc
+
+
 # ---------------------------------------------------------------------------
 # F_p-specific helpers: exact division, gcd, p-th roots.
 #
@@ -358,14 +379,11 @@ def _dense_trim(a):
     return a
 
 
-_KRONECKER_WIDTH = 8  # bytes per packed coefficient
-
-
 def _dense_mul(a, b, p):
     """Univariate product via Kronecker substitution: pack coefficients
-    into one big integer each, multiply once, unpack mod p.  Coefficient
-    sums stay far below 2^64 for the supported primes and degrees."""
-    w = _KRONECKER_WIDTH
+    into one big integer each, multiply once, unpack mod p.  A slot holds
+    the largest coefficient sum, (p-1)^2 times the shorter length."""
+    w = (((p - 1) ** 2 * min(len(a), len(b))).bit_length() + 7) // 8
     pa = int.from_bytes(
         b"".join(c.to_bytes(w, "little") for c in a), "little"
     )

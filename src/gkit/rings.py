@@ -15,16 +15,34 @@ k-coefficients to the p^n-th power and fixes the symbols.
 """
 
 import itertools
+import operator
 
 from .basefield import EtaleAlgebra, PrimeParams
 from .errors import NotAPthPower, TypeMismatch
 from .polys import ElemDomain, SparsePoly
 
 
-class IntegerRing:
-    """Plain integers; p is not a zero divisor, so ghost maps are faithful."""
+class _OperatorArithmetic:
+    """add, sub, neg, mul, pow and eq through the elements' own operators."""
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    pow = staticmethod(operator.pow)
+    eq = staticmethod(operator.eq)
+
+
+class IntegerRing(_OperatorArithmetic):
+    """Plain integers; p is not a zero divisor, so ghost maps are faithful.
+
+    The prime p is not intrinsic to Z, so the ring carries the p of the
+    Witt vectors it holds."""
 
     char_p = None
+
+    def __init__(self, p):
+        self.p = p
 
     def zero(self):
         return 0
@@ -35,35 +53,17 @@ class IntegerRing:
     def from_int(self, n):
         return n
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def pow(self, a, n):
-        return a**n
-
-    def eq(self, a, b):
-        return a == b
-
     def is_zero(self, a):
         return a == 0
 
     def __eq__(self, other):
-        return isinstance(other, IntegerRing)
+        return isinstance(other, IntegerRing) and other.p == self.p
 
     def __hash__(self):
-        return hash("IntegerRing")
+        return hash(("IntegerRing", self.p))
 
     def __repr__(self):
-        return "<ring Z>"
+        return f"<ring Z, p={self.p}>"
 
 
 class _AmbientRing:
@@ -89,7 +89,26 @@ class _AmbientRing:
         return dig.get(zero_idx, self.zero())
 
 
-class FieldRing(_AmbientRing):
+class _FieldElemRing(_OperatorArithmetic, _AmbientRing):
+    """Shared body of k and its etale extensions: the elements carry their
+    own arithmetic, Frobenius and digit expansion."""
+
+    def is_zero(self, a):
+        return a.is_zero()
+
+    def pth_power(self, a, n=1):
+        return a.pth_power(n)
+
+    twist = pth_power
+
+    def digits1(self, a):
+        return {i: v for i, v in a.digits().items() if not v.is_zero()}
+
+    def to_string(self, a):
+        return str(a)
+
+
+class FieldRing(_FieldElemRing):
     """k itself as a coefficient ring."""
 
     def __init__(self, params: PrimeParams):
@@ -105,41 +124,8 @@ class FieldRing(_AmbientRing):
     def from_int(self, n):
         return self.params.from_int(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def pow(self, a, n):
-        return a**n
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def pth_power(self, a, n=1):
-        return a.pth_power(n)
-
     def scalar(self, c):
         return c
-
-    def twist(self, a, n):
-        return a.pth_power(n)
-
-    def digits1(self, a):
-        return {i: v for i, v in a.digits().items() if not v.is_zero()}
-
-    def to_string(self, a):
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, FieldRing) and other.params == self.params
@@ -151,7 +137,7 @@ class FieldRing(_AmbientRing):
         return f"<ring k, p={self.params.p}, d={self.params.d}>"
 
 
-class EtaleRing(_AmbientRing):
+class EtaleRing(_FieldElemRing):
     """A monogenic etale extension as a coefficient ring."""
 
     def __init__(self, algebra: EtaleAlgebra):
@@ -168,41 +154,8 @@ class EtaleRing(_AmbientRing):
     def from_int(self, n):
         return self.algebra.from_k(self.params.from_int(n))
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def pow(self, a, n):
-        return a**n
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def pth_power(self, a, n=1):
-        return a.pth_power(n)
-
     def scalar(self, c):
         return self.algebra.from_k(c)
-
-    def twist(self, a, n):
-        return a.pth_power(n)
-
-    def digits1(self, a):
-        return {i: v for i, v in a.digits().items() if not v.is_zero()}
-
-    def to_string(self, a):
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, EtaleRing) and other.algebra == self.algebra

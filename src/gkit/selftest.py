@@ -23,8 +23,7 @@ from .sampling import (
 
 def _suite_ghost(rng, counts):
     for p, maxN in ((2, 3), (3, 2)):
-        ring = IntegerRing()
-        witt.set_ambient_prime(ring, p)
+        ring = IntegerRing(p)
         for N in range(1, maxN + 1):
             for _ in range(10):
                 u = rand_int_witt(rng, ring, N, 9)

@@ -240,21 +240,8 @@ def witt_sub(u, v):
     return witt_add(u, witt_neg(v))
 
 
-_ambient_prime = {}
-
-
-def set_ambient_prime(ring, p):
-    """Declare the prime for a ring where it is not intrinsic (integers)."""
-    _ambient_prime[id(ring)] = p
-
-
 def _prime_of(ring):
-    if ring.char_p is not None:
-        return ring.char_p
-    got = _ambient_prime.get(id(ring))
-    if got is None:
-        raise InternalError("integer Witt vectors need set_ambient_prime(ring, p)")
-    return got
+    return ring.p if ring.char_p is None else ring.char_p
 
 
 def ghost(r, w):

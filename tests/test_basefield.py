@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
-from gkit.basefield import EtaleAlgebra, PrimeParams, pbasis_expand, pth_root
-from gkit.errors import DivisionByZero, NotAPthPower, NotAUnit, TypeMismatch
+from gkit.basefield import EtaleAlgebra, PrimeParams, _is_prime, pbasis_expand, pth_root
+from gkit.errors import DivisionByZero, InternalError, NotAPthPower, NotAUnit, TypeMismatch
+from gkit.polys import _dense_mul
 from gkit.sampling import rand_etale_elem, rand_field_elem
 
 
@@ -134,3 +137,57 @@ def test_element_strings_round_shape(params2):
     assert str(t**2 + one) == "t^2 + 1"
     assert str((t + one) / t) == "(t + 1)/t"
     assert str(params2.zero()) == "0"
+
+
+def _schoolbook(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 4294967291])
+def test_dense_mul_matches_schoolbook(p, rng):
+    """Kronecker slots are wide enough for (p-1)^2 times the shorter length."""
+    for n, m in ((40, 40), (40, 3), (1, 40), (7, 1)):
+        largest = ([p - 1] * n, [p - 1] * m)
+        drawn = ([rng.randrange(1, p) for _ in range(n)], [rng.randrange(1, p) for _ in range(m)])
+        for a, b in (largest, drawn):
+            assert _dense_mul(a, b, p) == _schoolbook(a, b, p)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**4) if _is_prime(n)] == [
+        n for n in range(10**4) if _trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [561, 2047, 3825123056546413051])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+def test_large_prime_is_fast():
+    t0 = time.monotonic()
+    params = PrimeParams(2**64 + 13, 1)
+    assert time.monotonic() - t0 < 0.5
+    assert params.p == 2**64 + 13
+    with pytest.raises(TypeMismatch, match="3317044064679887385961981"):
+        PrimeParams(2**89 - 1, 1)
+
+
+def test_etale_digits_singular_system(etale_q):
+    """A singular digit system is an internal error, not a wrong answer."""
+    etale_q.digit_matrix()
+    etale_q._digit_matrix = [
+        [etale_q.params.zero()] * len(row) for row in etale_q._digit_matrix
+    ]
+    with pytest.raises(InternalError, match="singular linear system"):
+        etale_q.gen().digits()

@@ -217,3 +217,31 @@ def test_env_caps(tmp_path, monkeypatch):
     records = records_of(env_proc.stdout)
     assert records, f"the CLI wrote no records; stderr:\n{env_proc.stderr}"
     assert records[0]["error"]["type"] == "ResourceLimit"
+
+
+@pytest.mark.parametrize(
+    "flags,env_extra,needle",
+    [
+        (["--jobs", "0"], {}, "--jobs"),
+        (["--stage", "-1"], {}, "--stage"),
+        ([], {"GKIT_MONOMIAL_CAP": "abc"}, "GKIT_MONOMIAL_CAP='abc'"),
+    ],
+    ids=["jobs-zero", "stage-negative", "cap-not-an-integer"],
+)
+def test_config_errors_are_records(tmp_path, flags, env_extra, needle):
+    path = tmp_path / "demo.gk"
+    path.write_text(WORKED_SCRIPT)
+    env = dict(os.environ, **env_extra)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkit.cli", "--script", str(path)] + flags,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    records = records_of(proc.stdout)
+    assert len(records) == 1, proc.stdout
+    assert records[0]["status"] == "error"
+    assert records[0]["error"]["type"] == "TypeMismatch"
+    assert needle in records[0]["error"]["message"]

@@ -12,12 +12,6 @@ from gkit.sampling import (
 )
 
 
-def int_ring(p):
-    ring = IntegerRing()
-    W.set_ambient_prime(ring, p)
-    return ring
-
-
 def _eval_every_term(poly, ring, values):
     """The slow path: every term of poly at values, zero inputs included."""
     acc = ring.zero()
@@ -54,7 +48,7 @@ def test_structure_polys_small_cases():
 def test_ghost_oracle(p, N, rng):
     """Ghost components turn Witt operations into plain integer arithmetic,
     also on vectors with zero entries."""
-    ring = int_ring(p)
+    ring = IntegerRing(p)
     nonzero = lambda: rng.choice([-1, 1]) * rng.randrange(1, 20)
 
     def draw(zeros):
@@ -73,9 +67,9 @@ def test_ghost_oracle(p, N, rng):
 
 
 def test_ghost_examples():
-    ring = int_ring(3)
+    ring = IntegerRing(3)
     assert W.ghost(1, W.WittVector(ring, (2, 1))) == 11
-    ring2 = int_ring(2)
+    ring2 = IntegerRing(2)
     assert W.ghost(2, W.WittVector(ring2, (1, 1, 1))) == 7
     assert W.ghost(0, W.WittVector(ring2, (5, 9, 3))) == 5
     with pytest.raises(IndexOutOfRange):
@@ -83,7 +77,7 @@ def test_ghost_examples():
 
 
 def test_add_examples(params2, k2):
-    ring = int_ring(2)
+    ring = IntegerRing(2)
     s = W.witt_add(W.WittVector(ring, (1, 0)), W.WittVector(ring, (1, 0)))
     assert s.entries == (2, -1)
     one, zero = params2.one(), params2.zero()
@@ -125,7 +119,7 @@ def test_vf_identities_random(params2, k2, rng):
 
 
 def test_frobenius_ghost_compat_over_integers(rng):
-    ring = int_ring(3)
+    ring = IntegerRing(3)
     for _ in range(20):
         u = rand_int_witt(rng, ring, 3, 9)
         fu = W.frobenius(u)  # length 2 over a ring without p-th power
@@ -221,3 +215,19 @@ def test_zero_entries_match_every_term_evaluation(which, p, N, rng, request):
         ):
             want = W.WittVector(ring, [_eval_every_term(q, ring, values) for q in polys])
             assert got == want
+
+
+def test_integer_rings_carry_their_prime():
+    """Two live integer rings with different primes stay apart: each ghost
+    map and each Witt sum uses the ring's own p."""
+    z2, z3 = IntegerRing(2), IntegerRing(3)
+    assert z2 != z3 and IntegerRing(2) == z2
+    assert hash(IntegerRing(3)) == hash(z3)
+    u2, u3 = W.WittVector(z2, (1, 0)), W.WittVector(z3, (1, 0))
+    assert W.ghost(1, W.WittVector(z2, (2, 1))) == 2**2 + 2
+    assert W.ghost(1, W.WittVector(z3, (2, 1))) == 2**3 + 3
+    # (1, 0) + (1, 0) = (2, (1 + 1 - 2^p) / p)
+    assert W.witt_add(u2, u2).entries == (2, -1)
+    assert W.witt_add(u3, u3).entries == (2, -2)
+    with pytest.raises(LengthMismatch):
+        W.witt_add(u2, u3)
