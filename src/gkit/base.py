@@ -27,6 +27,7 @@ from .errors import (
     TypeMismatch,
     UnsupportedAlgebra,
 )
+from .polys import SparsePoly
 from .rings import EtaleRing, FieldRing, SymbolicRing
 
 
@@ -166,6 +167,13 @@ class BaseAlgebra:
             self._ecoeffs = tuple(embed_cohen(c, ring) for c in base.ecoeffs)
         else:
             self._ecoeffs = None
+        self._emodel = None
+
+    def ecoeff_models(self):
+        """The coefficients of E as model numerators over one denominator."""
+        if self._emodel is None:
+            self._emodel = cohen.to_models(self._ecoeffs)
+        return self._emodel
 
     # -- element constructors ----------------------------------------------
 
@@ -215,6 +223,10 @@ class BaseAlgebra:
         out = []
         for w, c in enumerate(comps):
             bound = self.base.component_bound(w)
+            # nothing to drop: keep the element, and with it its model
+            if bound == self.base.m and (c.ring, c.level) == (self.ring, self.base.m):
+                out.append(c)
+                continue
             coords = {(j, i): x for (j, i), x in c.coords.items() if j < bound}
             out.append(cohen.CohenElem(self.ring, self.base.m, coords))
         return tuple(out)
@@ -272,6 +284,9 @@ class BaseElem:
 
     def __mul__(self, other):
         self._check(other)
+        if cohen.uses_model(self.algebra.ring):
+            vecs = cohen.to_models(self.components), cohen.to_models(other.components)
+            return _peel(self.algebra, _model_product(self.algebra, *vecs))
         e = self.base.e
         ring = self.algebra.ring
         zero = cohen.CohenElem.zero(ring, self.base.m)
@@ -347,20 +362,30 @@ class BaseElem:
         return self.algebra.ring.is_zero(self.residue())
 
     def inverse(self):
-        """Newton iteration against the nilpotent ideal; exact at the end."""
-        ring = self.algebra.ring
+        """In the model: u = u_0 (1 + z) with u_0 the pi^0 component, a unit
+        of C_m(k) inverted in closed form (`cohen.model_inverse`), and
+        z = u_0^{-1} (u - u_0) in I, so 1/(1 + z) is the finite geometric
+        series in -z up to I^trunc, summed by Horner.  Checked at the end."""
+        alg, base = self.algebra, self.base
         res = self.residue()
-        if ring.is_zero(res):
+        if alg.ring.is_zero(res):
             raise NotAUnit("element has zero residue")
         if not isinstance(res, BaseFieldElem):
             raise TypeMismatch("inversion requires k-valued components")
-        x = self.algebra.teich(res.inverse())
-        two = self.algebra.from_int(2)
-        steps = max(1, math.ceil(math.log2(max(2, self.base.trunc))) + 1)
-        for _ in range(steps):
-            x = x * (two - self * x)
-        if not (self * x - self.algebra.one()).is_zero():
-            raise InternalError("unit inversion did not converge")
+        nums, den = cohen.to_models(self.components)
+        inv_num, inv_den = cohen.model_inverse(nums[0], den, alg.ring, base.m)
+        dom, nvars = inv_num.domain, inv_num.nvars
+        zero = SparsePoly.zero(dom, nvars)
+        y = ([SparsePoly.constant(dom, nvars, 1)] + [zero] * (base.e - 1), base.params._one_poly())
+        if base.e > 1:
+            z = ([zero] + [x * inv_num for x in nums[1:]], den * inv_den)
+            for _ in range(base.trunc - 1):
+                zy, zy_den = _model_product(alg, z, y)
+                one = cohen.lift_power(zy_den, dom, base.params.p ** (base.m - 1))
+                y = ([one - zy[0]] + [-x for x in zy[1:]], zy_den)
+        x = _peel(alg, ([c * inv_num for c in y[0]], y[1] * inv_den))
+        if not (self * x - alg.one()).is_zero():
+            raise InternalError("unit inversion failed its check")
         return x
 
     def reduce_mod(self, j):
@@ -387,6 +412,50 @@ class BaseElem:
             head = "" if w == 0 else ("pi*" if w == 1 else f"pi^{w}*")
             parts.append(f"{head}{c!r}")
         return "<A " + (" + ".join(parts) if parts else "0") + ">"
+
+
+def _model_product(alg, x, y):
+    """BaseElem.__mul__'s convolution and E-reduction on model numerators,
+    each vector over one shared denominator."""
+    (a, a_den), (b, b_den) = x, y
+    base = alg.base
+    e = base.e
+    den = a_den * b_den
+    zero = SparsePoly.zero(a[0].domain, a[0].nvars)
+    conv = [zero] * (2 * e - 1)
+    for i, u in enumerate(a):
+        if u.is_zero():
+            continue
+        for j, v in enumerate(b):
+            if not v.is_zero():
+                conv[i + j] = conv[i + j] + u * v
+    ecoeffs, scale = (), None
+    if e > 1:
+        ecoeffs, e_den = alg.ecoeff_models()
+        if not e_den.is_constant():
+            scale = cohen.lift_power(e_den, zero.domain, base.params.p ** (base.m - 1))
+    for deg in range(2 * e - 2, e - 1, -1):
+        c = conv[deg]
+        if c.is_zero():
+            continue
+        conv[deg] = zero
+        if scale is not None:
+            conv = [u * scale for u in conv]
+            den = den * e_den
+        for i, ecoef in enumerate(ecoeffs):
+            conv[deg - e + i] = conv[deg - e + i] - c * ecoef
+    return conv[:e], den
+
+
+def _peel(alg, vec):
+    """The BaseElem of a model vector: each component peeled once, only
+    through the positions its quotient keeps."""
+    nums, den = vec
+    base = alg.base
+    return BaseElem(alg, [
+        cohen.from_model(num, den, alg.ring, base.m, top=base.component_bound(w) - 1)
+        for w, num in enumerate(nums)
+    ])
 
 
 def graded_unit(base: ArtinianBase, i, c):

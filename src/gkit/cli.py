@@ -339,6 +339,17 @@ class Session:
             )
         return self._presentations[key]
 
+    def declare(self, kind, decl):
+        """Run one declaration; a failure becomes a declare.<kind> error
+        record and the script goes on, as after a failing command."""
+        try:
+            getattr(self, f"declare_{kind}")(decl)
+        except GkitError as exc:
+            self.results.append(
+                {"cmd": f"declare.{kind}", "status": "error", "error": exc.payload()}
+            )
+            self.failed = True
+
     # -- commands --------------------------------------------------------------
 
     def run_command(self, cmd):
@@ -489,16 +500,10 @@ def run_script(text, config: SessionConfig):
     statements = parse(text)
     session = Session(config)
     for kind, payload in statements:
-        if kind == "base":
-            session.declare_base(payload)
-        elif kind == "ring":
-            session.declare_ring(payload)
-        elif kind == "scheme":
-            session.declare_scheme(payload)
-        elif kind == "elem":
-            session.declare_elem(payload)
-        elif kind == "cmd":
+        if kind == "cmd":
             session.run_command(payload)
+        else:
+            session.declare(kind, payload)
     return session
 
 

@@ -16,8 +16,38 @@ and `extract` inverts it, failing with NotInCohen off the subring.
 For a symbolic ambient k[z_1..z_e] the twist raises k-coefficients to the
 p^n-th power and fixes the symbols, so extraction tests digits of the
 coefficients only.
+
+Arithmetic over k itself (a FieldRing ambient) does not go through Witt
+vectors.  Cohen's structure theorem (I. S. Cohen, Trans. AMS 59, 1946)
+gives C_{n+1}(k) = (Z/p^{n+1})[T]_(p), T the lift of the p-basis, and in
+that model the canonical form reads
+
+    c = sum over slots (j, i) of  p^j * x~_j(i)^{p^{n-j}} * T^i,
+
+x~ any lift of x with F_p coefficients (the p^{n-j}-th power forgets the
+choice modulo p^{n-j+1}).  An element is kept as num / lift(den)^{p^n}
+with num over Z/p^{n+1} and den a nonzero F_p polynomial, so sums and
+products are polynomial arithmetic and p-division divides num.  Choosing
+den = lcm of the coordinates' denominators, slot (j, i) adds
+p^j * T^i * lift(x * den^{p^j})^{p^{n-j}} to num (`to_models`).
+
+`from_model` inverts this by p-adic peeling.  At position j the residual
+numerator, reduced mod p, is sum_i V_i(T^{p^{n-j}}) T^i with polynomials
+V_i (split the exponents mod p^{n-j}), and the coordinate is
+x_j(i) = V_i / den^{p^j}.  Subtracting sum_i T^i * lift(V_i)^{p^{n-j}}
+clears the residual mod p, the numerator is divided by p exactly, and the
+next position follows; the denominator never changes.  Zero is a zero
+numerator mod p^{n+1}.  A peeled element keeps its model for the next
+operation, and a unit's inverse has a closed form (`model_inverse`);
+`BaseElem` products and inverses in base.py run on the same model.
+
+Etale and symbolic ambients keep the Witt route (`to_witt`, one Witt
+structure-polynomial evaluation per entry, `extract`); `to_witt` and
+`extract` also serve the witt/cohen commands and the tests as the oracle
+for the model.
 """
 
+from .basefield import BaseFieldElem
 from .errors import (
     InternalError,
     LevelMismatch,
@@ -26,7 +56,8 @@ from .errors import (
     NotInImage,
     TypeMismatch,
 )
-from .rings import multi_indices
+from .polys import SparsePoly, ZmodDomain, exact_div, poly_gcd
+from .rings import FieldRing, multi_indices
 from .witt import WittVector, p_times, witt_add, witt_mul, witt_neg, witt_sub
 
 
@@ -34,13 +65,17 @@ class CohenElem:
     """Canonical coordinates of an element of C_{n+1}(Q).
 
     ``coords`` maps (j, i) to a nonzero ambient element, j the Witt
-    position, i a multi-index tuple in [0, p^{n-j}-1]^d.
+    position, i a multi-index tuple in [0, p^{n-j}-1]^d.  ``model`` keeps
+    the (num, den) an element over k was peeled from, so the next
+    operation starts from it instead of rebuilding it from the coordinates
+    (whose position-j denominators carry p^j-th powers).
     """
 
-    __slots__ = ("ring", "level", "coords")
+    __slots__ = ("ring", "level", "coords", "model")
 
     def __init__(self, ring, level, coords):
         self.ring = ring
+        self.model = None
         self.level = level  # n + 1
         clean = {}
         n = level - 1
@@ -160,6 +195,156 @@ def extract(w: WittVector, max_position=None) -> CohenElem:
     return CohenElem(ring, level, coords)
 
 
+# -- the model (Z/p^{n+1})[T]_(p) of C_{n+1}(k) ------------------------------
+
+
+def uses_model(ring):
+    """Whether Cohen elements over ``ring`` compute in the model."""
+    return isinstance(ring, FieldRing)
+
+
+def lift_power(poly, dom, e):
+    """An F_p polynomial read coefficientwise over ``dom``, to the e-th power."""
+    return SparsePoly(dom, poly.nvars, poly.terms).pow(e)
+
+
+def _shift(poly, i, scale):
+    """scale * T^i * poly."""
+    q = poly.domain.q
+    terms = {}
+    for e, c in poly.terms.items():
+        c = c * scale % q
+        if c:
+            terms[tuple(a + b for a, b in zip(e, i))] = c
+    return SparsePoly(poly.domain, poly.nvars, terms)
+
+
+def _reduce(poly, dom):
+    """poly with its coefficients reduced into ``dom`` (Z/q, q dividing
+    the modulus of poly)."""
+    terms = {}
+    for e, c in poly.terms.items():
+        c %= dom.q
+        if c:
+            terms[e] = c
+    return SparsePoly(dom, poly.nvars, terms)
+
+
+def _lcm(polys, one):
+    out = one
+    for b in set(polys):
+        if not b.is_constant():
+            out = out * exact_div(b, poly_gcd(out, b))
+    return out
+
+
+def to_models(elems):
+    """Elements of one C_{n+1}(k) as numerators over one shared den."""
+    ring, level = elems[0].ring, elems[0].level
+    params = ring.params
+    p, n = params.p, level - 1
+    dom = ZmodDomain(p**level)
+    one = params._one_poly()
+    dens = [c.model[1] for c in elems if c.model is not None]
+    dens += [x.den for c in elems if c.model is None for x in c.coords.values()]
+    den = _lcm(dens, one)
+    den_powers = [one]  # den^(p^j - 1)
+    for _ in range(n):
+        den_powers.append(den_powers[-1].pow(p) * den.pow(p - 1))
+    cofactors = {}
+    nums = []
+    for c in elems:
+        if c.model is not None:
+            num, d = c.model
+            if d != den:
+                num = num * lift_power(exact_div(den, d), dom, p**n)
+            nums.append(num)
+            continue
+        num = SparsePoly.zero(dom, params.d)
+        for (j, i), x in c.coords.items():
+            cof = cofactors.get(x.den)
+            if cof is None:
+                cof = cofactors[x.den] = exact_div(den, x.den)
+            w = x.num * cof * den_powers[j]  # x * den^(p^j)
+            num = num + _shift(lift_power(w, dom, p ** (n - j)), i, p**j)
+        nums.append(num)
+    return nums, den
+
+
+def to_model(c):
+    nums, den = to_models([c])
+    return nums[0], den
+
+
+def model_inverse(num, den, ring, level):
+    """The inverse of the unit num / lift(den)^{p^n}: num^{p^n} and
+    lift(num mod p)^{p^n} agree modulo p^{n+1}, so it is
+    lift(den)^{p^n} * num^{p^n - 1} over the new den num mod p, scaled to
+    leading coefficient 1."""
+    p, e = ring.char_p, ring.char_p ** (level - 1)
+    dom = num.domain
+    new_den = _reduce(num, ring.params.domain)
+    inv_lc = ring.params.domain.inv(new_den.leading()[1])
+    new_num = lift_power(den, dom, e) * num.pow(e - 1)
+    return _shift(new_num, (0,) * num.nvars, pow(inv_lc, e, dom.q)), new_den.scale(inv_lc)
+
+
+def _div_p(poly, p, message):
+    q = poly.domain.q // p
+    terms = {}
+    for e, c in poly.terms.items():
+        if c % p:
+            raise InternalError(message)
+        terms[e] = c // p
+    return SparsePoly(ZmodDomain(q), poly.nvars, terms)
+
+
+def from_model(num, den, ring, level, top=None):
+    """Peel the canonical coordinates at positions 0..top (default: all)
+    off num / lift(den)^{p^n}; num may be known modulo p^{level - top} only."""
+    params = ring.params
+    p, n = params.p, level - 1
+    top = n if top is None else top
+    model = num, den
+    complete = top == n and num.domain.q == p**level
+    coords = {}
+    den_j = den  # den^(p^j)
+    for j in range(top + 1):
+        if num.is_zero():
+            break
+        q = p ** (n - j)
+        parts = {}
+        for e, c in num.terms.items():
+            c %= p
+            if c:
+                m = tuple(a % q for a in e)
+                parts.setdefault(m, {})[tuple(a // q for a in e)] = c
+        cleared = num
+        for m, terms in parts.items():
+            v = SparsePoly(params.domain, params.d, terms)
+            coords[(j, m)] = BaseFieldElem(params, v, den_j)
+            if j < top:
+                cleared = cleared - _shift(lift_power(v, num.domain, q), m, 1)
+        if j < top:
+            num = _div_p(cleared, p, "digit extraction did not clear its position")
+            den_j = den_j.pow(p)
+    c = CohenElem(ring, level, coords)
+    if complete:
+        c.model = model
+    return c
+
+
+def _model_add(x, y, c):
+    """Sum of two models of C_{n+1}(k), c's ring, over lcm(den1, den2)."""
+    (n1, d1), (n2, d2) = x, y
+    if d1 == d2:
+        return n1 + n2, d1
+    g = poly_gcd(d1, d2)
+    dom, e = n1.domain, c.ring.char_p ** (c.level - 1)
+    c1, c2 = exact_div(d2, g), exact_div(d1, g)
+    return n1 * lift_power(c1, dom, e) + n2 * lift_power(c2, dom, e), d1 * c1
+
+
 def _closure_op(op, *args):
     try:
         return op(*args)
@@ -169,30 +354,44 @@ def _closure_op(op, *args):
 
 def cohen_add(a: CohenElem, b: CohenElem) -> CohenElem:
     _check_pair(a, b)
+    if uses_model(a.ring):
+        return from_model(*_model_add(to_model(a), to_model(b), a), a.ring, a.level)
     return _closure_op(lambda: extract(witt_add(to_witt(a), to_witt(b))))
 
 
 def cohen_sub(a: CohenElem, b: CohenElem) -> CohenElem:
     _check_pair(a, b)
+    if uses_model(a.ring):
+        num, den = to_model(b)
+        return from_model(*_model_add(to_model(a), (-num, den), a), a.ring, a.level)
     return _closure_op(lambda: extract(witt_sub(to_witt(a), to_witt(b))))
 
 
 def cohen_mul(a: CohenElem, b: CohenElem) -> CohenElem:
     _check_pair(a, b)
+    if uses_model(a.ring):
+        (n1, d1), (n2, d2) = to_model(a), to_model(b)
+        return from_model(n1 * n2, d1 * d2, a.ring, a.level)
     return _closure_op(lambda: extract(witt_mul(to_witt(a), to_witt(b))))
 
 
 def cohen_neg(a: CohenElem) -> CohenElem:
+    if uses_model(a.ring):
+        num, den = to_model(a)
+        return from_model(-num, den, a.ring, a.level)
     return _closure_op(lambda: extract(witt_neg(to_witt(a))))
 
 
 def cohen_from_int(ring, level, value):
-    acc = CohenElem.zero(ring, level)
-    one = CohenElem.single(ring, level, 0, (0,) * ring.params.d, ring.one())
-    neg = value < 0
-    for _ in range(abs(value) % ring.char_p**level):
-        acc = cohen_add(acc, one)
-    return cohen_neg(acc) if neg else acc
+    """The integer value in C_level over any ambient: its coordinates lie
+    in F_p, so they are computed over k and embedded."""
+    k = FieldRing(ring.params)
+    dom = ZmodDomain(ring.char_p**level)
+    num = SparsePoly.constant(dom, ring.params.d, value % dom.q)
+    c = from_model(num, ring.params._one_poly(), k, level)
+    if ring == k:
+        return c
+    return CohenElem(ring, level, {slot: ring.scalar(x) for slot, x in c.coords.items()})
 
 
 def _check_pair(a, b):
@@ -222,7 +421,11 @@ def ver_project(c: CohenElem, source_level) -> CohenElem:
 
 
 def p_pow_times(c: CohenElem, exponent=1) -> CohenElem:
-    """p^exponent * c, computed at the vector level."""
+    """p^exponent * c, computed in the model or at the vector level."""
+    if uses_model(c.ring):
+        num, den = to_model(c)
+        shifted = _shift(num, (0,) * c.ring.params.d, c.ring.char_p**exponent)
+        return from_model(shifted, den, c.ring, c.level)
     w = to_witt(c)
     for _ in range(exponent):
         w = p_times(w)
@@ -243,6 +446,9 @@ def solve_p_division(target: CohenElem, exponent) -> CohenElem:
 
     Requires a relatively perfect ambient (k or etale): the p-th roots must
     exist and be unique.
+
+    Over k the model divides the numerator by p^e instead, peels positions
+    0..n-e, and checks p^e * c = target in the model.
     """
     ring = target.ring
     level = target.level
@@ -254,6 +460,18 @@ def solve_p_division(target: CohenElem, exponent) -> CohenElem:
         raise NotInImage(f"target has support below position {e}")
     if e == 0:
         return target
+    if uses_model(ring):
+        num, den = to_model(target)
+        quot = num
+        for _ in range(e):
+            quot = _div_p(quot, ring.char_p, "p-division of a numerator not divisible by p")
+        c = from_model(quot, den, ring, level, top=n - e)
+        c_num, c_den = to_model(c)
+        back = _shift(c_num, (0,) * ring.params.d, ring.char_p**e)
+        diff, _ = _model_add((back, c_den), (-num, den), target)
+        if not diff.is_zero():
+            raise InternalError("p-division verification failed")
+        return c
     w = to_witt(target)
     forced = []
     for j in range(level - e):
@@ -302,5 +520,12 @@ def truncate_level(c: CohenElem, target_level) -> CohenElem:
         raise LevelMismatch("truncation target exceeds level")
     if target_level == c.level:
         return c
+    if uses_model(c.ring):
+        # T maps to T: reduce num mod p^L, and lift(den)^{p^n} is
+        # lift(den^{p^{n-L+1}})^{p^{L-1}} modulo p^L
+        num, den = to_model(c)
+        p = c.ring.char_p
+        low = _reduce(num, ZmodDomain(p**target_level))
+        return from_model(low, den.pow(p ** (c.level - target_level)), c.ring, target_level)
     w = to_witt(c).truncate(target_level)
     return _closure_op(lambda: extract(w))

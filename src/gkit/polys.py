@@ -4,6 +4,7 @@ A polynomial is a dict mapping exponent tuples (one entry per variable) to
 nonzero coefficients.  The same core drives three instantiations:
 
 * ``FpDomain`` -- coefficients in the prime field F_p (ints in [0, p)),
+* ``ZmodDomain`` -- coefficients in Z/p^k (the Cohen-ring model over k),
 * ``IntDomain`` -- integer coefficients (universal Witt structure polynomials),
 * ``ElemDomain`` -- coefficients given by Python objects with arithmetic
   dunders (rational function fields, etale algebras, and the base rings
@@ -13,45 +14,55 @@ Monomial order is graded lexicographic throughout: compare total degree,
 then the exponent tuple.
 """
 
+import operator
+
 from .errors import InternalError, NotAPthPower, ResourceLimit
 
 
-class FpDomain:
-    """Arithmetic of F_p on plain ints reduced to [0, p)."""
+class ZmodDomain:
+    """Arithmetic of Z/q on plain ints reduced to [0, q)."""
 
-    def __init__(self, p):
-        self.p = p
+    def __init__(self, q):
+        self.q = q
         self.zero = 0
-        self.one = 1 % p
+        self.one = 1 % q
 
     def add(self, a, b):
-        return (a + b) % self.p
+        return (a + b) % self.q
 
     def neg(self, a):
-        return (-a) % self.p
+        return (-a) % self.q
 
     def mul(self, a, b):
-        return (a * b) % self.p
+        return (a * b) % self.q
+
+    def from_int(self, n):
+        return n % self.q
+
+    def is_zero(self, a):
+        return a % self.q == 0
+
+    def eq(self, a, b):
+        return (a - b) % self.q == 0
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.q == self.q
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.q))
+
+
+class FpDomain(ZmodDomain):
+    """The prime field F_p: Z/p with inverses, gcds and exact division."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.p = p
 
     def inv(self, a):
         if a % self.p == 0:
             raise InternalError("inverse of 0 in F_p")
         return pow(a, self.p - 2, self.p)
-
-    def from_int(self, n):
-        return n % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
-
-    def __eq__(self, other):
-        return isinstance(other, FpDomain) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("FpDomain", self.p))
 
 
 class IntDomain:
@@ -206,16 +217,18 @@ class SparsePoly:
         dom = self.domain
         if not self.terms or not other.terms:
             return SparsePoly(dom, self.nvars, {})
-        if isinstance(dom, FpDomain) and (len(self.terms) + len(other.terms)) > 16:
+        if isinstance(dom, ZmodDomain) and (len(self.terms) + len(other.terms)) > 16:
             ok, v = _single_var(self, other)
             if ok and v is not None:
                 da, db = self.degree_in(v), other.degree_in(v)
                 if da + db <= 8 * (len(self.terms) + len(other.terms)):
-                    out = _dense_mul(_to_dense(self, v), _to_dense(other, v), dom.p)
+                    out = _dense_mul(_to_dense(self, v), _to_dense(other, v), dom.q)
                     return _from_dense(out, dom, self.nvars, v)
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
+        if cap is None and isinstance(dom, ZmodDomain):
+            return SparsePoly(dom, self.nvars, _int_mul(a, b, dom.q, self.nvars))
         terms = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -245,15 +258,18 @@ class SparsePoly:
     def pow(self, n, cap=None):
         if n < 0:
             raise InternalError("negative polynomial power")
-        result = SparsePoly.constant(self.domain, self.nvars, self.domain.one)
+        one = SparsePoly.constant(self.domain, self.nvars, self.domain.one)
+        # with a cap, even the first factor is multiplied in, so a base
+        # already over the cap raises
+        result = one if cap is not None else None
         base = self
         while n:
             if n & 1:
-                result = result.mul(base, cap=cap)
+                result = base if result is None else result.mul(base, cap=cap)
             n >>= 1
             if n:
                 base = base.mul(base, cap=cap)
-        return result
+        return one if result is None else result
 
     def __pow__(self, n):
         return self.pow(n)
@@ -300,6 +316,29 @@ class SparsePoly:
                     )
             out = out + factor
         return out
+
+
+def _int_mul(a, b, q, nvars):
+    """Product of two terms mappings with int coefficients mod q: sum the
+    raw products first, reduce once at the end."""
+    acc = {}
+    get = acc.get
+    if nvars == 1:
+        for (e1,), c1 in a.items():
+            for (e2,), c2 in b.items():
+                e = (e1 + e2,)
+                acc[e] = get(e, 0) + c1 * c2
+    else:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(operator.add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+    terms = {}
+    for e, c in acc.items():
+        c %= q
+        if c:
+            terms[e] = c
+    return terms
 
 
 def eval_terms(terms, values, embed, zero):
@@ -379,11 +418,12 @@ def _dense_trim(a):
     return a
 
 
-def _dense_mul(a, b, p):
+def _dense_mul(a, b, q):
     """Univariate product via Kronecker substitution: pack coefficients
-    into one big integer each, multiply once, unpack mod p.  A slot holds
-    the largest coefficient sum, (p-1)^2 times the shorter length."""
-    w = (((p - 1) ** 2 * min(len(a), len(b))).bit_length() + 7) // 8
+    into one big integer each, multiply once, unpack mod q (prime or not).
+    A slot holds the largest coefficient sum, (q-1)^2 times the shorter
+    length."""
+    w = (((q - 1) ** 2 * min(len(a), len(b))).bit_length() + 7) // 8
     pa = int.from_bytes(
         b"".join(c.to_bytes(w, "little") for c in a), "little"
     )
@@ -393,7 +433,7 @@ def _dense_mul(a, b, p):
     raw = (pa * pb).to_bytes(w * (len(a) + len(b)), "little")
     out = []
     for i in range(len(a) + len(b) - 1):
-        out.append(int.from_bytes(raw[i * w : (i + 1) * w], "little") % p)
+        out.append(int.from_bytes(raw[i * w : (i + 1) * w], "little") % q)
     return _dense_trim(out)
 
 

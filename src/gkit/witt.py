@@ -15,11 +15,21 @@ Measured term counts of the full integer polynomials:
 
     p=2: S = [2, 3, 8, 40]        P = [1, 3, 9, 51]
     p=3: S = [2, 4, 24]           P = [1, 3, 13]
+
+Envelope.  The largest polynomial is the top sum S_{N-1}, whose terms are
+among the monomials of weighted degree p^{N-1} when x_i and y_i weigh p^i;
+`monomial_bound(p, N)` counts them.  Building takes time roughly in
+proportion to that count (measured: (1009, 2) with 1012 monomials in 1.0 s,
+(2, 6) with 23400 in 4.3 s, (3, 5) with 115602 in 38 s), so
+`structure_polys` refuses, with ResourceLimit and before building, any
+(p, N) whose count exceeds MAX_MONOMIALS = 1200.  Admitted are N = 1 for
+every p, N = 2 for p < 1200, N = 3 for p <= 7, N = 4 for p <= 3, and
+N = 5 for p = 2.
 """
 
 import threading
 
-from .errors import IndexOutOfRange, InternalError, LengthMismatch
+from .errors import IndexOutOfRange, InternalError, LengthMismatch, ResourceLimit
 from .polys import IntDomain, SparsePoly
 
 _INT = IntDomain()
@@ -110,13 +120,44 @@ def _reduce_mod(poly, p):
     return SparsePoly(_INT, poly.nvars, terms)
 
 
+MAX_MONOMIALS = 1200
+
+
+def monomial_bound(p, N):
+    """The number of monomials of weighted degree p^(N-1) in x_i, y_i of
+    weight p^i (i < N): the most terms S_{N-1} can have."""
+    memo = {}
+
+    def count(D, i):
+        # ways to spend weighted degree D on x_0..x_i, y_0..y_i
+        if i == 0:
+            return D + 1
+        if (D, i) not in memo:
+            w = p**i
+            memo[D, i] = sum((s + 1) * count(D - s * w, i - 1) for s in range(D // w + 1))
+        return memo[D, i]
+
+    return count(p ** (N - 1), N - 1)
+
+
+def _check_envelope(p, N):
+    # the count is at least p^(n-1) + 1 and grows with n, so stop early
+    for n in range(2, N + 1):
+        if p ** (n - 1) >= MAX_MONOMIALS or monomial_bound(p, n) > MAX_MONOMIALS:
+            raise ResourceLimit(
+                f"Witt structure polynomials for p = {p}, N = {N} exceed the "
+                f"envelope of {MAX_MONOMIALS} monomials of weighted degree p^(N-1)"
+            )
+
+
 def structure_polys(p, N):
     """Cached structure polynomials; construction is race-free, reads are
-    lock-free afterwards."""
+    lock-free afterwards.  Raises ResourceLimit outside the envelope."""
     key = (p, N)
     got = _cache.get(key)
     if got is not None:
         return got
+    _check_envelope(p, N)
     with _cache_lock:
         got = _cache.get(key)
         if got is None:

@@ -182,3 +182,76 @@ def test_unsupported_lift(base_unram2):
 
     with pytest.raises(UnsupportedAlgebra):
         B.canonical_lift(42, base_unram2)
+
+
+# -- BaseElem products in the model against the Witt route -------------------
+
+
+def _witt_op(op, *elems):
+    return C.extract(op(*[C.to_witt(c) for c in elems]))
+
+
+def _witt_route_mul(x, y):
+    """The convolution and E-reduction of BaseElem.__mul__, each Cohen
+    operation done as extract(witt_op(to_witt(.), to_witt(.)))."""
+    from gkit import witt as W
+
+    e = x.base.e
+    zero = C.CohenElem.zero(x.algebra.ring, x.base.m)
+    conv = [zero] * (2 * e - 1)
+    for i, a in enumerate(x.components):
+        for j, b in enumerate(y.components):
+            conv[i + j] = _witt_op(W.witt_add, conv[i + j], _witt_op(W.witt_mul, a, b))
+    for deg in range(2 * e - 2, e - 1, -1):
+        c, conv[deg] = conv[deg], zero
+        for i, ecoef in enumerate(x.algebra._ecoeffs):
+            conv[deg - e + i] = _witt_op(W.witt_sub, conv[deg - e + i], _witt_op(W.witt_mul, c, ecoef))
+    return B.BaseElem(x.algebra, conv[:e])
+
+
+def _check_against_witt_route(x, y):
+    assert x * y == _witt_route_mul(x, y)
+    for j in (1, x.base.nilpotency - 1):
+        xq, yq = x.reduce_mod(j), y.reduce_mod(j)
+        assert xq * yq == _witt_route_mul(xq, yq)
+    assert _witt_route_mul(x, x.inverse()) == x.algebra.one()
+
+
+def test_eisenstein_mul_and_inverse_match_witt_route(base_eis_p3, rng):
+    from gkit.sampling import rand_base_elem
+
+    alg = base_eis_p3.algebra()
+    for _ in range(4):
+        x, y = (
+            rand_base_elem(rng, base_eis_p3)
+            + alg.teich(rand_nonzero_field_elem(rng, base_eis_p3.params))
+            for _ in range(2)
+        )
+        _check_against_witt_route(x, y)
+
+
+def test_deep_eisenstein_mul_and_inverse_match_witt_route(base_eis_p3_deep, params3):
+    """m = 3: the Witt route costs seconds per op on dense elements, so the
+    operands are a + pi*b built from a few small teich lifts."""
+    alg = base_eis_p3_deep.algebra()
+    t, one = params3.gen(0), params3.one()
+    for a, b in ((one, t), (t + one, one + one), (t, (t + one).inverse())):
+        x = alg.teich(a) + alg.pi() * alg.teich(b)
+        y = alg.teich(b + one) + alg.pi() * alg.teich(a) + alg.p()
+        _check_against_witt_route(x, y)
+
+
+def test_eisenstein_with_fractional_coefficient_matches_witt_route(params2, k2, rng):
+    """E = pi^2 + p*teich(1/(t+1))*pi - p: the reduction by E brings in a
+    denominator of its own."""
+    from gkit.sampling import rand_base_elem
+
+    t, one = params2.gen(0), params2.one()
+    c1 = C.p_pow_times(C.teich_lift(k2, 2, (t + one).inverse()), 1)
+    c0 = C.cohen_neg(C.cohen_from_int(k2, 2, 2))
+    base = B.make_eisenstein(params2, 2, [c0, c1])
+    alg = base.algebra()
+    for _ in range(4):
+        x = rand_base_elem(rng, base) + alg.teich(rand_nonzero_field_elem(rng, params2))
+        y = rand_base_elem(rng, base) + alg.one()
+        _check_against_witt_route(x, y)

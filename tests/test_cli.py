@@ -245,3 +245,102 @@ def test_config_errors_are_records(tmp_path, flags, env_extra, needle):
     assert records[0]["status"] == "error"
     assert records[0]["error"]["type"] == "TypeMismatch"
     assert needle in records[0]["error"]["message"]
+
+
+def test_declaration_errors_are_records(tmp_path):
+    path = tmp_path / "decl.gk"
+    path.write_text(
+        "base { p = 2; pbasis = [t]; }\n"
+        "witt add (1,0) (1,0);\n"
+        "ring B = eisenstein(2, E = pi^2 - t);\n"
+    )
+    proc = run_cli(["--script", str(path)])
+    assert proc.returncode == 1, proc.stderr
+    records = records_of(proc.stdout)
+    assert [r["cmd"] for r in records] == ["witt.add", "declare.ring"]
+    assert records[0] == {"cmd": "witt.add", "result": ["0", "1"], "status": "ok"}
+    assert records[1]["status"] == "error"
+    assert records[1]["error"]["type"] == "UnknownIdentifier"
+
+
+def test_declarations_after_a_failure_still_run():
+    session = run_script(
+        "base { p = 3; pbasis = [t]; }\n"
+        "scheme X over Z { vars [x]; eqs [ x ]; }\n"
+        "ring A = unramified(2);\n"
+        "elem g = teich(s) + p;\n"
+        "elem g = teich(t) + p;\n"
+        "units level g;\n",
+        SessionConfig(),
+    )
+    assert session.failed
+    assert [r["cmd"] for r in session.results] == [
+        "declare.scheme", "declare.elem", "units.level"
+    ]
+    assert [r["error"]["type"] for r in session.results[:2]] == ["UnknownIdentifier"] * 2
+    assert session.results[2] == {"cmd": "units.level", "level": 0, "status": "ok"}
+
+
+def test_large_prime_witt_add_is_refused_quickly():
+    import time
+
+    start = time.monotonic()
+    session = run_script(
+        "base { p = 4294967291; pbasis = [t]; }\n"
+        "witt add (t^40 + t^3 + 4294967290, 3) (t^41 + 7, t);\n",
+        SessionConfig(),
+    )
+    assert time.monotonic() - start < 1.0
+    (record,) = session.results
+    assert record["status"] == "error"
+    assert record["error"]["type"] == "ResourceLimit"
+    assert "p = 4294967291, N = 2" in record["error"]["message"]
+
+
+FUZZ_STATEMENTS = [
+    "witt add (1,0) (t,1);",
+    "witt mul (t,0) (1,t);",
+    "witt neg (1,t);",
+    "witt v (t,1);",
+    "witt f (t,1);",
+    "witt teich t --len 2;",
+    "witt ghost 1 (2,1) --ring int;",
+    "witt add (1,2) (3,4) --ring int;",
+    "cohen extract (t,0);",
+    "cohen add (t,0) (1,0);",
+    "cohen mul (t,0) (t,0);",
+    "cohen embed (t,0) --to 3;",
+    "cohen pdiv (0,t^2) --e 1;",
+    "cohen residue (t,1);",
+    "ring A = unramified(2);",
+    "ring B = eisenstein(2, E = pi^2 - p);",
+    "elem g = teich(t) + p;",
+    "elem h over A = 1 + p*teich(t);",
+    "units level g;",
+    "units level h --ring A;",
+    "units ppow-solve h --n 1;",
+]
+
+
+def test_fuzzed_scripts_raise_only_gkit_errors():
+    """Seeded scripts of cheap statements with random token deletions:
+    whatever they do, run_script raises nothing but GkitError."""
+    import random
+
+    from gkit.errors import GkitError
+
+    rng = random.Random(20261018)
+    for _ in range(150):
+        p = rng.choice((2, 3))
+        lines = [f"base {{ p = {p}; pbasis = [t]; }}"]
+        lines += [rng.choice(FUZZ_STATEMENTS) for _ in range(rng.randrange(1, 6))]
+        tokens = dsl.tokenize("\n".join(lines))[:-1]
+        for _ in range(rng.randrange(0, 3)):
+            del tokens[rng.randrange(len(tokens))]
+        text = " ".join(tok.value for tok in tokens)
+        try:
+            run_script(text, SessionConfig())
+        except GkitError:
+            pass
+        except Exception as exc:  # pragma: no cover - the failure report
+            pytest.fail(f"{type(exc).__name__}: {exc}\nscript:\n{text}")

@@ -204,3 +204,114 @@ def test_d0_is_plain_witt():
         (2, ()): two,
     }
     assert C.to_witt(c).entries == (two, params.one(), two)
+
+
+# -- the model (Z/p^{n+1})[t]_(p) against the Witt route ---------------------
+#
+# Over k the ring operations run in the model; these tests compare them with
+# the Witt-vector route they replace: to_witt of the result against the Witt
+# operation on the to_witt images.
+
+ORACLE_CASES = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (2, 2, 2)]
+# the Witt route costs seconds per op at (2, 1, 4) and (3, 1, 3)
+ORACLE_DRAWS = {(2, 1, 4): 2, (3, 1, 3): 2}
+
+
+def _oracle_ring(p, d):
+    from gkit.basefield import PrimeParams
+    from gkit.rings import FieldRing
+
+    return FieldRing(PrimeParams(p, d))
+
+
+def _oracle_draws(p, d, level):
+    """Seeded pairs; the first element always has a coordinate with a
+    denominator that is not 1."""
+    import random
+
+    from gkit.sampling import rand_nonzero_field_elem
+
+    rng = random.Random(1000 * p + 100 * d + level)
+    ring = _oracle_ring(p, d)
+    params = ring.params
+    out = []
+    for _ in range(ORACLE_DRAWS.get((p, d, level), 4)):
+        a = rand_cohen(rng, ring, level)
+        coords = dict(a.coords)
+        slot = rng.choice(C.slot_indices(ring, level))
+        t = params.gen(rng.randrange(d))
+        coords[slot] = rand_nonzero_field_elem(rng, params) / (t + params.one())
+        out.append((C.CohenElem(ring, level, coords), rand_cohen(rng, ring, level)))
+    assert any(not x.den.is_constant() for a, _ in out for x in a.coords.values())
+    return ring, out
+
+
+@pytest.mark.parametrize("p,d,level", ORACLE_CASES)
+def test_model_ring_ops_match_witt_route(p, d, level):
+    ring, draws = _oracle_draws(p, d, level)
+    params = ring.params
+    t, one = params.gen(0), params.one()
+    # coprime to t + 1
+    c = C.CohenElem.single(ring, level, level - 1, (0,) * d, (t * t + t + one).inverse())
+    square = C.cohen_mul(c, c)
+    tw = C.to_witt
+    for a, b in draws:
+        assert tw(C.cohen_add(a, b)) == W.witt_add(tw(a), tw(b))
+        assert tw(C.cohen_sub(a, b)) == W.witt_sub(tw(a), tw(b))
+        prod = C.cohen_mul(a, b)
+        assert tw(prod) == W.witt_mul(tw(a), tw(b))
+        assert tw(C.cohen_neg(a)) == W.witt_neg(tw(a))
+        # results carry the model they were peeled from into the next op,
+        # here over two different denominators
+        assert tw(C.cohen_add(prod, square)) == W.witt_add(tw(prod), tw(square))
+
+
+def _witt_from_int(ring, level, value):
+    one = C.to_witt(C.CohenElem.single(ring, level, 0, (0,) * ring.params.d, ring.one()))
+    acc = W.witt_zero(ring, level)
+    for _ in range(abs(value)):
+        acc = W.witt_add(acc, one)
+    return W.witt_neg(acc) if value < 0 else acc
+
+
+@pytest.mark.parametrize("p,d,level", ORACLE_CASES)
+def test_model_from_int_matches_repeated_witt_adds(p, d, level):
+    ring = _oracle_ring(p, d)
+    q = p**level
+    for value in (0, 1, -1, p, -p - 1, q, q + 2, -q, -(q + 1), 2 * q + 1):
+        got = C.cohen_from_int(ring, level, value)
+        assert C.to_witt(got) == _witt_from_int(ring, level, value), value
+
+
+def test_from_int_over_other_ambients(etale_ring, params2):
+    from gkit.rings import SymbolicRing
+
+    sym = SymbolicRing(params2, ["u"])
+    for ring in (etale_ring, sym):
+        for value in (-5, 3, 9):
+            got = C.cohen_from_int(ring, 3, value)
+            assert C.to_witt(got) == _witt_from_int(ring, 3, value)
+
+
+@pytest.mark.parametrize("p,d,level", ORACLE_CASES)
+def test_model_p_division_multiplies_back(p, d, level):
+    ring, draws = _oracle_draws(p, d, level)
+    for a, _ in draws:
+        for e in range(1, level):
+            target = C.CohenElem(ring, level, {s: x for s, x in a.coords.items() if s[0] >= e})
+            got = C.solve_p_division(target, e)
+            assert C.p_pow_times(got, e) == target
+            w = C.to_witt(got)
+            for _ in range(e):
+                w = W.p_times(w)
+            assert w == C.to_witt(target)
+
+
+@pytest.mark.parametrize("p,d,level", ORACLE_CASES)
+def test_model_truncation_matches_witt_route(p, d, level):
+    ring, draws = _oracle_draws(p, d, level)
+    for a, b in draws:
+        for c in (a, C.cohen_mul(a, b)):
+            for low in range(1, level + 1):
+                want = C.extract(C.to_witt(c).truncate(low))
+                assert C.truncate_level(c, low) == want
