@@ -31,14 +31,6 @@ from .polys import SparsePoly
 from .rings import EtaleRing, FieldRing, SymbolicRing
 
 
-def embed_cohen(c, ring):
-    """Re-coordinate a CohenElem over k into a larger ambient ring."""
-    if c.ring == ring:
-        return c
-    coords = {slot: ring.scalar(x) for slot, x in c.coords.items()}
-    return cohen.CohenElem(ring, c.level, coords)
-
-
 class ArtinianBase:
     """One of the two supported base families, possibly cut down to A/I^j."""
 
@@ -156,15 +148,19 @@ class BaseAlgebra:
     """Elements of A (or A/I^j) with components over an ambient ring.
 
     Over k this is the base itself; over a symbolic polynomial ring it is
-    the twisted algebra the Greenberg transform expands inside; over a
-    lifted etale extension it provides the module structure.
+    the twisted algebra the Greenberg transform expands inside.  Both
+    multiply in the Cohen model (cohen.py); an ambient outside it, such as
+    an etale extension, raises UnsupportedAlgebra (the lifted etale
+    extension `LiftedEtale` works over the k-algebra instead).
     """
 
     def __init__(self, base: ArtinianBase, ring):
+        if not cohen.uses_model(ring):
+            raise UnsupportedAlgebra(f"no base algebra with components over {ring!r}")
         self.base = base
         self.ring = ring
         if base.kind == "eisenstein":
-            self._ecoeffs = tuple(embed_cohen(c, ring) for c in base.ecoeffs)
+            self._ecoeffs = tuple(cohen.embed(c, ring) for c in base.ecoeffs)
         else:
             self._ecoeffs = None
         self._emodel = None
@@ -217,7 +213,7 @@ class BaseAlgebra:
         """Re-coordinate a BaseElem over k into this ambient ring."""
         if elem.algebra is self:
             return elem
-        return BaseElem(self, [embed_cohen(c, self.ring) for c in elem.components])
+        return BaseElem(self, [cohen.embed(c, self.ring) for c in elem.components])
 
     def _normalize(self, comps):
         out = []
@@ -284,30 +280,8 @@ class BaseElem:
 
     def __mul__(self, other):
         self._check(other)
-        if cohen.uses_model(self.algebra.ring):
-            vecs = cohen.to_models(self.components), cohen.to_models(other.components)
-            return _peel(self.algebra, _model_product(self.algebra, *vecs))
-        e = self.base.e
-        ring = self.algebra.ring
-        zero = cohen.CohenElem.zero(ring, self.base.m)
-        conv = [zero] * (2 * e - 1)
-        for i, a in enumerate(self.components):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.components):
-                if not b.is_zero():
-                    conv[i + j] = cohen.cohen_add(conv[i + j], cohen.cohen_mul(a, b))
-        # reduce pi^e via E: pi^e = -(c_{e-1} pi^{e-1} + .. + c_0)
-        for deg in range(2 * e - 2, e - 1, -1):
-            c = conv[deg]
-            if c.is_zero():
-                continue
-            conv[deg] = zero
-            for i, ecoef in enumerate(self.algebra._ecoeffs or ()):
-                conv[deg - e + i] = cohen.cohen_sub(
-                    conv[deg - e + i], cohen.cohen_mul(c, ecoef)
-                )
-        return BaseElem(self.algebra, conv[:e])
+        vecs = cohen.to_models(self.components), cohen.to_models(other.components)
+        return _peel(self.algebra, _model_product(self.algebra, *vecs))
 
     def __pow__(self, n):
         out = self.algebra.one()
@@ -356,10 +330,7 @@ class BaseElem:
         return best
 
     def is_unit(self):
-        return not self.base_residue_is_zero()
-
-    def base_residue_is_zero(self):
-        return self.algebra.ring.is_zero(self.residue())
+        return not self.algebra.ring.is_zero(self.residue())
 
     def inverse(self):
         """In the model: u = u_0 (1 + z) with u_0 the pi^0 component, a unit
@@ -419,7 +390,7 @@ def _model_product(alg, x, y):
     each vector over one shared denominator."""
     (a, a_den), (b, b_den) = x, y
     base = alg.base
-    e = base.e
+    e, cap = base.e, alg.ring.monomial_cap
     den = a_den * b_den
     zero = SparsePoly.zero(a[0].domain, a[0].nvars)
     conv = [zero] * (2 * e - 1)
@@ -428,22 +399,24 @@ def _model_product(alg, x, y):
             continue
         for j, v in enumerate(b):
             if not v.is_zero():
-                conv[i + j] = conv[i + j] + u * v
+                conv[i + j] = conv[i + j] + u.mul(v, cap)
     ecoeffs, scale = (), None
     if e > 1:
         ecoeffs, e_den = alg.ecoeff_models()
         if not e_den.is_constant():
-            scale = cohen.lift_power(e_den, zero.domain, base.params.p ** (base.m - 1))
+            scale = cohen.lift_power(
+                e_den, zero.domain, base.params.p ** (base.m - 1), zero.nvars, cap
+            )
     for deg in range(2 * e - 2, e - 1, -1):
         c = conv[deg]
         if c.is_zero():
             continue
         conv[deg] = zero
         if scale is not None:
-            conv = [u * scale for u in conv]
+            conv = [u.mul(scale, cap) for u in conv]
             den = den * e_den
         for i, ecoef in enumerate(ecoeffs):
-            conv[deg - e + i] = conv[deg - e + i] - c * ecoef
+            conv[deg - e + i] = conv[deg - e + i] - c.mul(ecoef, cap)
     return conv[:e], den
 
 

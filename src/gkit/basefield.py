@@ -225,14 +225,16 @@ class BaseFieldElem:
         return BaseFieldElem(self.params, poly_pth_root(num, p), self.den)
 
     def digits(self):
-        """The unique map i -> f_i with self = sum f_i^p t^i (dense dict)."""
+        """The unique map i -> f_i with self = sum f_i^p t^i, sparse: the
+        indices i with f_i = 0 are left out, so a large p costs nothing."""
         p, d = self.params.p, self.params.d
         u = self.num.mul(self.den.pow(p - 1))
-        parts = {i: {} for i in self.params.digit_indices()}
+        parts = {}
         for exps, c in u.terms.items():
             idx = tuple(e % p for e in exps)
             rest = tuple(e // p for e in exps)
-            parts[idx][rest] = c  # F_p coefficients are their own p-th roots
+            # F_p coefficients are their own p-th roots
+            parts.setdefault(idx, {})[rest] = c
         dom = self.params.domain
         return {
             idx: BaseFieldElem(self.params, SparsePoly(dom, d, terms), self.den)
@@ -376,6 +378,7 @@ class EtaleAlgebra:
         """
         if self._digit_matrix is None:
             idxs = self.params.digit_indices()
+            zero = self.params.zero()
             frob = self.frobenius_matrix()
             cols = []
             for i in idxs:
@@ -386,7 +389,7 @@ class EtaleAlgebra:
                         entry = frob[j][m] * ti
                         dig = entry.digits()
                         for kappa in idxs:
-                            col.append(dig[kappa])
+                            col.append(dig.get(kappa, zero))
                     cols.append(col)
             self._digit_matrix = [
                 [cols[c][r] for c in range(len(cols))] for r in range(len(cols))
@@ -499,7 +502,7 @@ class EtaleElem:
         for m in range(self.algebra.deg):
             dig = self.coords[m].digits()
             for kappa in idxs:
-                rhs.append(dig[kappa])
+                rhs.append(dig.get(kappa, params.zero()))
         n = len(matrix)
         rows, pivots = linalg.row_reduce(
             [row + [b] for row, b in zip(matrix, rhs)], params.zero()
@@ -687,24 +690,25 @@ def _univar_str(coeffs, name):
 
 
 class DigitExpansion:
-    """The digits f_i of f = sum f_i^p t^i, indexed by [0,p-1]^d."""
+    """The digits f_i of f = sum f_i^p t^i, indexed by [0,p-1]^d; a digit
+    missing from ``digits`` is zero."""
 
     def __init__(self, params, digits):
         self.params = params
         self.digits = digits
 
     def __getitem__(self, idx):
-        return self.digits[tuple(idx)]
+        return self.digits.get(tuple(idx), self.params.zero())
 
     def items(self):
-        return [(i, self.digits[i]) for i in self.params.digit_indices()]
+        return [(i, self[i]) for i in self.params.digit_indices()]
 
     def reconstruct(self):
         total = None
         for i, f_i in self.digits.items():
             term = f_i.pth_power() * _embed_monomial(f_i, i)
             total = term if total is None else total + term
-        return total
+        return self.params.zero() if total is None else total
 
 
 def _embed_monomial(sample, idx):

@@ -1,7 +1,8 @@
 """Command dispatch and deterministic JSON emission.
 
 A run parses one script, executes its statements in order, and writes one
-JSON document per command (JSON lines, keys sorted) to --out or stdout.
+JSON document per command, failed declaration and unparsable statement
+(JSON lines, keys sorted) to --out or stdout.
 Failures become structured error objects and a nonzero exit status; output
 for a fixed (script, flags, seed) is byte-identical across runs.
 
@@ -22,7 +23,7 @@ from .errors import (
     TypeMismatch,
     UnknownIdentifier,
 )
-from .dsl import parse
+from .dsl import Parser, parse  # noqa: F401 (re-exported as cli.parse)
 from .polys import ElemDomain, SparsePoly
 from .rings import FieldRing, IntegerRing
 
@@ -496,11 +497,14 @@ class Session:
 
 
 def run_script(text, config: SessionConfig):
-    """Parse and execute; returns (session, records)."""
-    statements = parse(text)
+    """Parse and execute; returns the session, whose ``results`` hold one
+    record per command, failed declaration and unparsable statement."""
     session = Session(config)
-    for kind, payload in statements:
-        if kind == "cmd":
+    for kind, payload in Parser(text).parse_script():
+        if kind == "parse":
+            session.results.append({"cmd": "parse", "status": "error", "error": payload.payload()})
+            session.failed = True
+        elif kind == "cmd":
             session.run_command(payload)
         else:
             session.declare(kind, payload)

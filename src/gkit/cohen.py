@@ -13,38 +13,47 @@ where j runs over Witt positions 0..n and i over [0, p^{n-j}-1]^d.  A
 CohenElem stores exactly the coordinates x_j(i); `to_witt` realizes the sum
 and `extract` inverts it, failing with NotInCohen off the subring.
 
-For a symbolic ambient k[z_1..z_e] the twist raises k-coefficients to the
+For a symbolic ambient k[z_1..z_s] the twist raises k-coefficients to the
 p^n-th power and fixes the symbols, so extraction tests digits of the
 coefficients only.
 
-Arithmetic over k itself (a FieldRing ambient) does not go through Witt
-vectors.  Cohen's structure theorem (I. S. Cohen, Trans. AMS 59, 1946)
-gives C_{n+1}(k) = (Z/p^{n+1})[T]_(p), T the lift of the p-basis, and in
-that model the canonical form reads
+Arithmetic over k and over k[z] does not go through Witt vectors.  Cohen's
+structure theorem (I. S. Cohen, Trans. AMS 59, 1946) gives
+C_{n+1}(k) = (Z/p^{n+1})[T]_(p), T the lift of the p-basis, and in that
+model the canonical form reads
 
     c = sum over slots (j, i) of  p^j * x~_j(i)^{p^{n-j}} * T^i,
 
 x~ any lift of x with F_p coefficients (the p^{n-j}-th power forgets the
 choice modulo p^{n-j+1}).  An element is kept as num / lift(den)^{p^n}
-with num over Z/p^{n+1} and den a nonzero F_p polynomial, so sums and
+with num over Z/p^{n+1} and den a nonzero F_p polynomial in T, so sums and
 products are polynomial arithmetic and p-division divides num.  Choosing
 den = lcm of the coordinates' denominators, slot (j, i) adds
 p^j * T^i * lift(x * den^{p^j})^{p^{n-j}} to num (`to_models`).
 
-`from_model` inverts this by p-adic peeling.  At position j the residual
-numerator, reduced mod p, is sum_i V_i(T^{p^{n-j}}) T^i with polynomials
-V_i (split the exponents mod p^{n-j}), and the coordinate is
-x_j(i) = V_i / den^{p^j}.  Subtracting sum_i T^i * lift(V_i)^{p^{n-j}}
-clears the residual mod p, the numerator is divided by p exactly, and the
-next position follows; the denominator never changes.  Zero is a zero
-numerator mod p^{n+1}.  A peeled element keeps its model for the next
-operation, and a unit's inverse has a closed form (`model_inverse`);
-`BaseElem` products and inverses in base.py run on the same model.
+A symbolic coordinate x(z) enters the same way after the substitution
+z = w^{p^n}: the twist of x is X(w)^{p^n}, X being x with each z renamed w
+and the same k-coefficients, so num lives in (Z/p^{n+1})[T, W] and slot
+(j, i) adds p^j * T^i * lift(X(w) * den^{p^j})^{p^{n-j}}.  This is the
+generic point of Greenberg's construction (Greenberg, "Schemata over local
+rings", Ann. Math. 73, 1961) expanded once, with no Witt carries.
 
-Etale and symbolic ambients keep the Witt route (`to_witt`, one Witt
-structure-polynomial evaluation per entry, `extract`); `to_witt` and
-`extract` also serve the witt/cohen commands and the tests as the oracle
-for the model.
+`from_model` inverts this by p-adic peeling.  At position j the residual
+numerator, reduced mod p, is sum_i V_i(T^{p^{n-j}}, W^{p^{n-j}}) T^i with
+polynomials V_i (split the T-exponents mod p^{n-j}; the W-exponents are
+multiples of p^{n-j}), and the coordinate is x_j(i) = V_i(T, z) / den^{p^j}.
+Subtracting sum_i T^i * lift(V_i)^{p^{n-j}} clears the residual mod p, the
+numerator is divided by p exactly, and the next position follows; the
+denominator never changes.  Zero is a zero numerator mod p^{n+1}.  A peeled
+element keeps its model for the next operation, and a unit's inverse has a
+closed form (`model_inverse`); `BaseElem` products and inverses in base.py
+run on the same model.  Over a ring with a monomial cap (the Greenberg
+transform's k[z]) the model's products and lift powers raise ResourceLimit
+past it.
+
+Etale ambients keep the Witt route (`to_witt`, one Witt structure-polynomial
+evaluation per entry, `extract`); `to_witt` and `extract` also serve the
+witt/cohen commands and the tests as the oracle for the model.
 """
 
 from .basefield import BaseFieldElem
@@ -57,7 +66,7 @@ from .errors import (
     TypeMismatch,
 )
 from .polys import SparsePoly, ZmodDomain, exact_div, poly_gcd
-from .rings import FieldRing, multi_indices
+from .rings import FieldRing, SymbolicRing, multi_indices
 from .witt import WittVector, p_times, witt_add, witt_mul, witt_neg, witt_sub
 
 
@@ -200,17 +209,21 @@ def extract(w: WittVector, max_position=None) -> CohenElem:
 
 def uses_model(ring):
     """Whether Cohen elements over ``ring`` compute in the model."""
-    return isinstance(ring, FieldRing)
+    return isinstance(ring, (FieldRing, SymbolicRing))
 
 
-def lift_power(poly, dom, e):
-    """An F_p polynomial read coefficientwise over ``dom``, to the e-th power."""
-    return SparsePoly(dom, poly.nvars, poly.terms).pow(e)
+def lift_power(poly, dom, e, nvars=None, cap=None):
+    """An F_p polynomial read coefficientwise over ``dom`` in ``nvars``
+    variables (the trailing ones, the symbols, absent), to the e-th power."""
+    pad = (0,) * ((nvars or poly.nvars) - poly.nvars)
+    terms = {x + pad: c for x, c in poly.terms.items()} if pad else poly.terms
+    return SparsePoly(dom, poly.nvars + len(pad), terms).pow(e, cap=cap)
 
 
 def _shift(poly, i, scale):
     """scale * T^i * poly."""
     q = poly.domain.q
+    i = tuple(i) + (0,) * (poly.nvars - len(i))
     terms = {}
     for e, c in poly.terms.items():
         c = c * scale % q
@@ -238,15 +251,29 @@ def _lcm(polys, one):
     return out
 
 
+def _k_terms(ring, x):
+    """An ambient element as (symbol exponents, k-coefficient) pairs."""
+    return x.terms.items() if isinstance(ring, SymbolicRing) else (((), x),)
+
+
+def _model_nvars(ring):
+    """The model's variables: the d lifted p-basis elements, then one per
+    symbol of a symbolic ambient."""
+    return ring.params.d + (ring.nvars if isinstance(ring, SymbolicRing) else 0)
+
+
 def to_models(elems):
-    """Elements of one C_{n+1}(k) as numerators over one shared den."""
+    """Elements of one C_{n+1}(k) or C_{n+1}(k[z]) as numerators over one
+    shared den."""
     ring, level = elems[0].ring, elems[0].level
     params = ring.params
     p, n = params.p, level - 1
     dom = ZmodDomain(p**level)
+    nvars, cap = _model_nvars(ring), ring.monomial_cap
     one = params._one_poly()
     dens = [c.model[1] for c in elems if c.model is not None]
-    dens += [x.den for c in elems if c.model is None for x in c.coords.values()]
+    dens += [a.den for c in elems if c.model is None
+             for x in c.coords.values() for _, a in _k_terms(ring, x)]
     den = _lcm(dens, one)
     den_powers = [one]  # den^(p^j - 1)
     for _ in range(n):
@@ -257,16 +284,20 @@ def to_models(elems):
         if c.model is not None:
             num, d = c.model
             if d != den:
-                num = num * lift_power(exact_div(den, d), dom, p**n)
+                num = num.mul(lift_power(exact_div(den, d), dom, p**n, nvars, cap), cap)
             nums.append(num)
             continue
-        num = SparsePoly.zero(dom, params.d)
+        num = SparsePoly.zero(dom, nvars)
         for (j, i), x in c.coords.items():
-            cof = cofactors.get(x.den)
-            if cof is None:
-                cof = cofactors[x.den] = exact_div(den, x.den)
-            w = x.num * cof * den_powers[j]  # x * den^(p^j)
-            num = num + _shift(lift_power(w, dom, p ** (n - j)), i, p**j)
+            terms = {}  # x * den^(p^j), symbol exponents after the T ones
+            for e, a in _k_terms(ring, x):
+                cof = cofactors.get(a.den)
+                if cof is None:
+                    cof = cofactors[a.den] = exact_div(den, a.den)
+                for t, v in (a.num * cof * den_powers[j]).terms.items():
+                    terms[t + e] = v
+            w = SparsePoly(params.domain, nvars, terms)
+            num = num + _shift(lift_power(w, dom, p ** (n - j), cap=cap), i, p**j)
         nums.append(num)
     return nums, den
 
@@ -299,11 +330,29 @@ def _div_p(poly, p, message):
     return SparsePoly(ZmodDomain(q), poly.nvars, terms)
 
 
+def _coordinate(ring, v, den):
+    """The ambient element v / den, v an F_p polynomial in the model's
+    variables with the symbol exponents undone."""
+    params = ring.params
+    if not isinstance(ring, SymbolicRing):
+        return BaseFieldElem(params, v, den)
+    d = params.d
+    parts = {}
+    for e, c in v.terms.items():
+        parts.setdefault(e[d:], {})[e[:d]] = c
+    coeffs = {
+        e: BaseFieldElem(params, SparsePoly(params.domain, d, terms), den)
+        for e, terms in parts.items()
+    }
+    return SparsePoly(ring.domain, ring.nvars, coeffs)
+
+
 def from_model(num, den, ring, level, top=None):
     """Peel the canonical coordinates at positions 0..top (default: all)
     off num / lift(den)^{p^n}; num may be known modulo p^{level - top} only."""
     params = ring.params
-    p, n = params.p, level - 1
+    p, n, d = params.p, level - 1, params.d
+    symbolic = num.nvars > d
     top = n if top is None else top
     model = num, den
     complete = top == n and num.domain.q == p**level
@@ -317,14 +366,18 @@ def from_model(num, den, ring, level, top=None):
         for e, c in num.terms.items():
             c %= p
             if c:
-                m = tuple(a % q for a in e)
+                if symbolic and any(a % q for a in e[d:]):
+                    raise InternalError(f"symbol exponents {e[d:]} at position {j} "
+                                        f"are not multiples of {q}")
+                m = tuple(a % q for a in e[:d])
                 parts.setdefault(m, {})[tuple(a // q for a in e)] = c
         cleared = num
         for m, terms in parts.items():
-            v = SparsePoly(params.domain, params.d, terms)
-            coords[(j, m)] = BaseFieldElem(params, v, den_j)
+            v = SparsePoly(params.domain, num.nvars, terms)
+            coords[(j, m)] = _coordinate(ring, v, den_j)
             if j < top:
-                cleared = cleared - _shift(lift_power(v, num.domain, q), m, 1)
+                lift = lift_power(v, num.domain, q, cap=ring.monomial_cap)
+                cleared = cleared - _shift(lift, m, 1)
         if j < top:
             num = _div_p(cleared, p, "digit extraction did not clear its position")
             den_j = den_j.pow(p)
@@ -335,14 +388,15 @@ def from_model(num, den, ring, level, top=None):
 
 
 def _model_add(x, y, c):
-    """Sum of two models of C_{n+1}(k), c's ring, over lcm(den1, den2)."""
+    """Sum of two models of C_{n+1}(Q), c's ring, over lcm(den1, den2)."""
     (n1, d1), (n2, d2) = x, y
     if d1 == d2:
         return n1 + n2, d1
     g = poly_gcd(d1, d2)
-    dom, e = n1.domain, c.ring.char_p ** (c.level - 1)
+    dom, e, cap = n1.domain, c.ring.char_p ** (c.level - 1), c.ring.monomial_cap
     c1, c2 = exact_div(d2, g), exact_div(d1, g)
-    return n1 * lift_power(c1, dom, e) + n2 * lift_power(c2, dom, e), d1 * c1
+    lifts = [lift_power(f, dom, e, n1.nvars, cap) for f in (c1, c2)]
+    return n1.mul(lifts[0], cap) + n2.mul(lifts[1], cap), d1 * c1
 
 
 def _closure_op(op, *args):
@@ -371,7 +425,7 @@ def cohen_mul(a: CohenElem, b: CohenElem) -> CohenElem:
     _check_pair(a, b)
     if uses_model(a.ring):
         (n1, d1), (n2, d2) = to_model(a), to_model(b)
-        return from_model(n1 * n2, d1 * d2, a.ring, a.level)
+        return from_model(n1.mul(n2, a.ring.monomial_cap), d1 * d2, a.ring, a.level)
     return _closure_op(lambda: extract(witt_mul(to_witt(a), to_witt(b))))
 
 
@@ -388,10 +442,14 @@ def cohen_from_int(ring, level, value):
     k = FieldRing(ring.params)
     dom = ZmodDomain(ring.char_p**level)
     num = SparsePoly.constant(dom, ring.params.d, value % dom.q)
-    c = from_model(num, ring.params._one_poly(), k, level)
-    if ring == k:
+    return embed(from_model(num, ring.params._one_poly(), k, level), ring)
+
+
+def embed(c, ring):
+    """Re-coordinate a CohenElem over k into a larger ambient ring."""
+    if c.ring == ring:
         return c
-    return CohenElem(ring, level, {slot: ring.scalar(x) for slot, x in c.coords.items()})
+    return CohenElem(ring, c.level, {slot: ring.scalar(x) for slot, x in c.coords.items()})
 
 
 def _check_pair(a, b):
@@ -522,10 +580,17 @@ def truncate_level(c: CohenElem, target_level) -> CohenElem:
         return c
     if uses_model(c.ring):
         # T maps to T: reduce num mod p^L, and lift(den)^{p^n} is
-        # lift(den^{p^{n-L+1}})^{p^{L-1}} modulo p^L
+        # lift(den^{p^{n-L+1}})^{p^{L-1}} modulo p^L; a symbol's w becomes
+        # w^s, s = p^{n-L+1}, since z = w^{p^n} = (w^s)^{p^{L-1}}
         num, den = to_model(c)
-        p = c.ring.char_p
+        p, d = c.ring.char_p, c.ring.params.d
+        s = p ** (c.level - target_level)
         low = _reduce(num, ZmodDomain(p**target_level))
-        return from_model(low, den.pow(p ** (c.level - target_level)), c.ring, target_level)
+        if low.nvars > d:
+            if any(a % s for e in low.terms for a in e[d:]):
+                raise InternalError(f"symbol exponents are not multiples of {s}")
+            terms = {e[:d] + tuple(a // s for a in e[d:]): v for e, v in low.terms.items()}
+            low = SparsePoly(low.domain, low.nvars, terms)
+        return from_model(low, den.pow(s), c.ring, target_level)
     w = to_witt(c).truncate(target_level)
     return _closure_op(lambda: extract(w))

@@ -110,10 +110,28 @@ class Parser:
     # -- grammar ---------------------------------------------------------------
 
     def parse_script(self):
+        """(kind, payload) per statement in order.  A statement that does not
+        parse becomes ("parse", ParseError), and parsing resumes after the
+        next ';' at brace depth 0 from the statement's start, or after the
+        '}' that closes a braced declaration."""
         statements = []
         while self.peek().kind != "eof":
-            statements.append(self.parse_statement())
+            start = self.pos
+            try:
+                statements.append(self.parse_statement())
+            except ParseError as exc:
+                statements.append(("parse", exc))
+                self.pos = start
+                self._skip_statement()
         return statements
+
+    def _skip_statement(self):
+        depth = 0
+        while self.peek().kind != "eof":
+            kind = self.next().kind
+            depth += (kind == "{") - (kind == "}")
+            if depth <= 0 and kind in (";", "}"):
+                return
 
     def parse_statement(self):
         tok = self.peek()
@@ -365,5 +383,9 @@ class Parser:
 
 
 def parse(text):
-    """Parse a script into its statement list."""
-    return Parser(text).parse_script()
+    """Parse a script into its statement list; raises its first ParseError."""
+    statements = Parser(text).parse_script()
+    for kind, payload in statements:
+        if kind == "parse":
+            raise payload
+    return statements

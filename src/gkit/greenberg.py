@@ -18,8 +18,8 @@ it realizes finite stages of relative perfection.
 from . import cohen
 from .base import ArtinianBase
 from .basefield import pbasis_expand
-from .errors import NotASolution, ResourceLimit, TypeMismatch, UnsupportedBase
-from .polys import SparsePoly, eval_terms
+from .errors import NotASolution, ResourceLimit, TypeMismatch
+from .polys import ElemDomain, SparsePoly, eval_terms
 from .rings import SymbolicRing, format_sym_poly, multi_indices
 
 DEFAULT_MONOMIAL_CAP = 20_000
@@ -120,8 +120,6 @@ def greenberg_transform(
     symbol_cap=DEFAULT_SYMBOL_CAP,
 ):
     base = X.base
-    if base.kind not in ("unramified", "eisenstein"):
-        raise UnsupportedBase(base.kind)
     symbols, layout = _slot_symbols(base, X.variables, symbol_cap)
     ring = SymbolicRing(base.params, symbols, monomial_cap=monomial_cap)
     algebra = base.algebra(ring)
@@ -238,26 +236,24 @@ def weil_restrict(params, symbols, equations, monomial_cap=None, symbol_cap=None
     if symbol_cap is not None and len(new_symbols) > symbol_cap:
         raise ResourceLimit(f"{len(new_symbols)} symbols exceed the cap {symbol_cap}")
 
-    # extended ring: refined symbols then the d auxiliary T variables
-    ext_names = new_symbols + [f"__T{j}" for j in range(d)]
-    ext = SymbolicRing(params, ext_names, monomial_cap=monomial_cap)
-    nvars_ext = len(ext_names)
+    # refined symbols then the d auxiliary T variables
+    domain = ElemDomain(params.zero(), params.one())
+    nvars_ext = len(new_symbols) + d
     substitution = {}
     for v in range(len(symbols)):
-        acc = ext.zero()
+        acc = SparsePoly.zero(domain, nvars_ext)
         for pos, i in enumerate(idxs):
             mono = [0] * nvars_ext
             mono[children[v][pos]] = 1
             for j, c in enumerate(i):
                 mono[len(new_symbols) + j] = c
-            acc = acc + SparsePoly(ext.domain, nvars_ext, {tuple(mono): params.one()})
+            acc = acc + SparsePoly(domain, nvars_ext, {tuple(mono): params.one()})
         substitution[v] = acc
 
-    out_ring = SymbolicRing(params, new_symbols, monomial_cap=monomial_cap)
     new_equations = []
     for q in equations:
         lifted = SparsePoly(
-            ext.domain,
+            domain,
             nvars_ext,
             {e + (0,) * d: c for e, c in q.terms.items()},
         )
@@ -277,9 +273,7 @@ def weil_restrict(params, symbols, equations, monomial_cap=None, symbol_cap=None
             else:
                 bucket[sym_part] = s
         for i in idxs:
-            new_equations.append(
-                SparsePoly(out_ring.domain, len(new_symbols), buckets[i])
-            )
+            new_equations.append(SparsePoly(domain, len(new_symbols), buckets[i]))
     return new_symbols, new_equations, children
 
 
@@ -400,7 +394,6 @@ def _symbolic_kernel_report(A2, A1, group, report):
     """One symbolic stage: the freed coordinates cut out the kernel."""
     from . import linalg
 
-    params = A2.params
     if group == "additive":
         X2 = AffinePresentation(A2, ["x"], [])
         pres2 = greenberg_transform(X2)
@@ -434,8 +427,7 @@ def _symbolic_kernel_report(A2, A1, group, report):
             else:
                 pinned[idx] = identity_coords[idx]
     # substitute pinned values, keep freed symbols formal
-    ring = SymbolicRing(params, [pres2.symbols[i] for i in free_indices])
-    zero = params.zero()
+    zero = A2.params.zero()
     rows = []
     rhs = []
     linear = True

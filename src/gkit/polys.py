@@ -158,19 +158,6 @@ class SparsePoly:
         e[index] = exp
         return cls(domain, nvars, {tuple(e): domain.one})
 
-    @classmethod
-    def from_terms(cls, domain, nvars, items):
-        terms = {}
-        for exps, c in items:
-            if not domain.is_zero(c):
-                prev = terms.get(exps)
-                c = domain.add(prev, c) if prev is not None else c
-                if domain.is_zero(c):
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = c
-        return cls(domain, nvars, terms)
-
     def is_zero(self):
         return not self.terms
 
@@ -179,9 +166,6 @@ class SparsePoly:
 
     def constant_value(self):
         return self.terms.get((0,) * self.nvars, self.domain.zero)
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def degree_in(self, v):
         return max((e[v] for e in self.terms), default=0)
@@ -227,8 +211,8 @@ class SparsePoly:
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
-        if cap is None and isinstance(dom, ZmodDomain):
-            return SparsePoly(dom, self.nvars, _int_mul(a, b, dom.q, self.nvars))
+        if isinstance(dom, ZmodDomain):
+            return SparsePoly(dom, self.nvars, _int_mul(a, b, dom.q, self.nvars, cap))
         terms = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -318,21 +302,24 @@ class SparsePoly:
         return out
 
 
-def _int_mul(a, b, q, nvars):
+def _int_mul(a, b, q, nvars, cap=None):
     """Product of two terms mappings with int coefficients mod q: sum the
-    raw products first, reduce once at the end."""
+    raw products first, reduce once at the end.  With a cap, the monomials
+    seen so far are counted after each row of a."""
     acc = {}
     get = acc.get
-    if nvars == 1:
-        for (e1,), c1 in a.items():
+    for e1, c1 in a.items():
+        if nvars == 1:
+            (x1,) = e1
             for (e2,), c2 in b.items():
-                e = (e1 + e2,)
+                e = (x1 + e2,)
                 acc[e] = get(e, 0) + c1 * c2
-    else:
-        for e1, c1 in a.items():
+        else:
             for e2, c2 in b.items():
                 e = tuple(map(operator.add, e1, e2))
                 acc[e] = get(e, 0) + c1 * c2
+        if cap is not None and len(acc) > cap:
+            raise ResourceLimit(f"intermediate polynomial exceeded {cap} monomials")
     terms = {}
     for e, c in acc.items():
         c %= q

@@ -2,16 +2,21 @@
 
 Witt-vector arithmetic is generic over a minimal ring interface: exact
 +, -, *, equality, integer embedding, and (for F_p-algebras) an entrywise
-p-th power.  The same core then serves four coefficient rings:
+p-th power.  Every adapter takes +, -, *, ** and == from the elements' own
+operators.  The same core then serves four coefficient rings:
 
 * plain integers (the ghost-component oracle),
 * the base field k,
 * monogenic etale extensions of k,
-* polynomial rings over k in named symbols (Greenberg expansion).
+* polynomial rings over k in named symbols (the Greenberg transform's
+  generic point).
 
 Ambient rings used by the Cohen-ring layer additionally expose the n-fold
-Frobenius twist and digit expansion; for a symbolic ring the twist raises
-k-coefficients to the p^n-th power and fixes the symbols.
+Frobenius twist and digit expansion, which `cohen.to_witt`/`extract` use;
+for a symbolic ring the twist raises k-coefficients to the p^n-th power
+and fixes the symbols.  Cohen arithmetic over k and over a symbolic ring
+runs in the model of cohen.py, which reads the ring's ``monomial_cap``;
+over a symbolic ring no Witt vector is built outside that oracle.
 """
 
 import itertools
@@ -69,6 +74,11 @@ class IntegerRing(_OperatorArithmetic):
 class _AmbientRing:
     """Shared behavior of the rings the Cohen layer can live over."""
 
+    monomial_cap = None
+
+    def is_zero(self, a):
+        return a.is_zero()
+
     def digits_iter(self, x, n):
         """n-fold digit expansion: sparse map [0,p^n-1]^d -> element."""
         p, d = self.char_p, self.params.d
@@ -92,9 +102,6 @@ class _AmbientRing:
 class _FieldElemRing(_OperatorArithmetic, _AmbientRing):
     """Shared body of k and its etale extensions: the elements carry their
     own arithmetic, Frobenius and digit expansion."""
-
-    def is_zero(self, a):
-        return a.is_zero()
 
     def pth_power(self, a, n=1):
         return a.pth_power(n)
@@ -167,11 +174,12 @@ class EtaleRing(_FieldElemRing):
         return f"<ring {self.algebra!r}>"
 
 
-class SymbolicRing(_AmbientRing):
+class SymbolicRing(_OperatorArithmetic, _AmbientRing):
     """k[z_1..z_e]: polynomials over k in named symbols.
 
-    The monomial cap guards intermediate blowup during Greenberg expansion;
-    exceeding it raises ResourceLimit.
+    The monomial cap guards intermediate blowup during Greenberg expansion:
+    the Cohen model's products and powers over this ring raise
+    ResourceLimit past it.
     """
 
     def __init__(self, params: PrimeParams, symbols, monomial_cap=None):
@@ -197,35 +205,6 @@ class SymbolicRing(_AmbientRing):
     def variable(self, name):
         return SparsePoly.variable(self.domain, self.nvars, self.index[name])
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a.mul(b, cap=self.monomial_cap)
-
-    def pow(self, a, n):
-        return a.pow(n, cap=self.monomial_cap)
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def pth_power(self, a, n=1):
-        """Absolute Frobenius of the polynomial ring (symbols included)."""
-        q = self.params.p**n
-        terms = {
-            tuple(e * q for e in exps): c.pth_power(n) for exps, c in a.terms.items()
-        }
-        return SparsePoly(self.domain, self.nvars, terms)
-
     def scalar(self, c):
         return SparsePoly.constant(self.domain, self.nvars, c)
 
@@ -236,13 +215,9 @@ class SymbolicRing(_AmbientRing):
     def digits1(self, a):
         out = {}
         for exps, c in a.terms.items():
-            for i, ci in c.digits().items():
-                if ci.is_zero():
-                    continue
-                poly = out.get(i)
-                term = SparsePoly(self.domain, self.nvars, {exps: ci})
-                out[i] = term if poly is None else poly + term
-        return {i: v for i, v in out.items() if not v.is_zero()}
+            for i, ci in c.digits().items():  # sparse: no zero digits
+                out.setdefault(i, {})[exps] = ci
+        return {i: SparsePoly(self.domain, self.nvars, terms) for i, terms in out.items()}
 
     def to_string(self, a):
         return format_sym_poly(a, self.symbols)
@@ -252,10 +227,11 @@ class SymbolicRing(_AmbientRing):
             isinstance(other, SymbolicRing)
             and other.params == self.params
             and other.symbols == self.symbols
+            and other.monomial_cap == self.monomial_cap
         )
 
     def __hash__(self):
-        return hash(("SymbolicRing", self.params, self.symbols))
+        return hash(("SymbolicRing", self.params, self.symbols, self.monomial_cap))
 
     def __repr__(self):
         return f"<ring k[{', '.join(self.symbols)}]>"

@@ -255,3 +255,42 @@ def test_eisenstein_with_fractional_coefficient_matches_witt_route(params2, k2, 
         x = rand_base_elem(rng, base) + alg.teich(rand_nonzero_field_elem(rng, params2))
         y = rand_base_elem(rng, base) + alg.one()
         _check_against_witt_route(x, y)
+
+
+def test_symbolic_eisenstein_mul_matches_witt_route(base_eis_p3, params3):
+    """The Greenberg transform's products: BaseElem over k[u, v] on the
+    Eisenstein base (p = 3, m = 2), generic coordinates times k-constants."""
+    import random
+
+    from gkit.rings import SymbolicRing
+    from gkit.sampling import rand_base_elem
+
+    rng = random.Random(3)
+    ring = SymbolicRing(params3, ["u", "v"])
+    alg = base_eis_p3.algebra(ring)
+    u, v = ring.variable("u"), ring.variable("v")
+    slots = C.slot_indices(ring, 2)
+
+    def generic():
+        comps = []
+        for _ in range(base_eis_p3.e):
+            coords = {s: ring.scalar(rand_nonzero_field_elem(rng, params3, 1)) * rng.choice((u, v, u * v))
+                      for s in slots if rng.random() < 0.5}
+            comps.append(C.CohenElem(ring, 2, coords))
+        return alg.from_components(comps)
+
+    for _ in range(3):
+        x, y = generic(), generic()
+        const = alg.embed(rand_base_elem(rng, base_eis_p3))
+        assert x * y == _witt_route_mul(x, y)
+        assert x * const == _witt_route_mul(x, const)
+        assert (x * y) * x == _witt_route_mul(_witt_route_mul(x, y), x)
+
+
+def test_no_base_algebra_over_an_etale_ring(base_unram2, etale_ring):
+    from gkit.errors import UnsupportedAlgebra
+
+    with pytest.raises(UnsupportedAlgebra):
+        base_unram2.algebra(etale_ring)
+    # the canonical lifting of an etale ring works over k instead
+    assert isinstance(B.canonical_lift(etale_ring, base_unram2), B.LiftedEtale)

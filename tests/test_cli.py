@@ -344,3 +344,55 @@ def test_fuzzed_scripts_raise_only_gkit_errors():
             pass
         except Exception as exc:  # pragma: no cover - the failure report
             pytest.fail(f"{type(exc).__name__}: {exc}\nscript:\n{text}")
+
+
+def test_parse_errors_cost_one_record_each(tmp_path):
+    path = tmp_path / "parse.gk"
+    path.write_text(
+        "base { p = 2; pbasis = [t]; }\n"
+        "witt add (1,0) (1,0);\n"
+        "witt add (1,0 (1,0);\n"
+        "witt neg (1,0);\n"
+    )
+    proc = run_cli(["--script", str(path)])
+    assert proc.returncode == 1, proc.stderr
+    assert records_of(proc.stdout) == [
+        {"cmd": "witt.add", "result": ["0", "1"], "status": "ok"},
+        {"cmd": "parse", "status": "error", "error": {
+            "type": "ParseError", "line": 3, "col": 15, "expected": "')'",
+            "message": "line 3, col 15: expected ')', found '('"}},
+        {"cmd": "witt.neg", "result": ["1", "1"], "status": "ok"},
+    ]
+
+
+def test_parse_resumes_after_the_failing_statement():
+    text = (
+        "base { p = ; pbasis = [t]; }\n"  # resumes after the closing brace
+        "ring A = unramified(2);\n"
+        "ring = x; witt neg (1,0);\n"  # resumes after the ';'
+        "} witt neg (1,0);\n"  # a stray brace
+    )
+    kinds = [kind for kind, _ in dsl.Parser(text).parse_script()]
+    assert kinds == ["parse", "ring", "parse", "cmd", "parse", "cmd"]
+    with pytest.raises(ParseError) as err:
+        dsl.parse(text)
+    assert (err.value.line, err.value.col) == (1, 12)
+
+
+def test_large_prime_digits_are_sparse(tmp_path):
+    """Digit expansion at p = 4294967291 builds only the digits that occur;
+    a dense expansion over [0, p-1] ran out of memory."""
+    import time
+
+    path = tmp_path / "bigp.gk"
+    path.write_text(
+        "base { p = 4294967291; pbasis = [t]; }\n"
+        "ring B = eisenstein(2, E = pi^2 - p);\n"
+        "elem g = teich(t) + p over B;\n"
+        "units level g;\n"
+    )
+    start = time.monotonic()
+    proc = run_cli(["--script", str(path)])
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert records_of(proc.stdout) == [{"cmd": "units.level", "level": 0, "status": "ok"}]

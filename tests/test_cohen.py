@@ -315,3 +315,106 @@ def test_model_truncation_matches_witt_route(p, d, level):
             for low in range(1, level + 1):
                 want = C.extract(C.to_witt(c).truncate(low))
                 assert C.truncate_level(c, low) == want
+
+
+# -- the model over k[z] against the Witt route ------------------------------
+#
+# Over a symbolic ambient the model substitutes z = w^{p^n}; these tests
+# compare each operation with extract(witt_op(to_witt(.), to_witt(.))).
+
+SYMBOLIC_CASES = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)]
+
+
+def _symbolic_draws(p, d, level, nsyms):
+    """Seeded pairs over k[u] or k[u, v]; the first element always has a
+    coefficient with a denominator that is not 1."""
+    import random
+
+    from gkit.basefield import PrimeParams
+    from gkit.rings import SymbolicRing
+    from gkit.sampling import rand_nonzero_field_elem
+
+    rng = random.Random(10000 * nsyms + 1000 * p + 100 * d + level)
+    params = PrimeParams(p, d)
+    ring = SymbolicRing(params, ["u", "v"][:nsyms])
+    slots = C.slot_indices(ring, level)
+
+    def monomial():
+        out = ring.one()
+        for s in ring.symbols:
+            out = out * ring.variable(s) ** rng.randrange(3)
+        return out
+
+    def coordinate():
+        out = ring.zero()
+        for _ in range(rng.randrange(1, 3)):
+            out = out + ring.scalar(rand_nonzero_field_elem(rng, params, max_deg=1)) * monomial()
+        return out
+
+    def elem():
+        coords = {s: coordinate() for s in slots if rng.random() < 0.4}
+        return C.CohenElem(ring, level, coords)
+
+    out = []
+    for _ in range(3):
+        a = elem()
+        coords = dict(a.coords)
+        t = params.gen(rng.randrange(d))
+        frac = rand_nonzero_field_elem(rng, params, max_deg=1) / (t + params.one())
+        coords[rng.choice(slots)] = ring.scalar(frac) * monomial()
+        out.append((C.CohenElem(ring, level, coords), elem()))
+    return ring, out
+
+
+def _symbol_power(x, q):
+    """x(z) -> x(z^q): the symbols to the q-th power, coefficients kept."""
+    from gkit.polys import SparsePoly
+
+    return SparsePoly(x.domain, x.nvars, {tuple(q * a for a in e): c for e, c in x.terms.items()})
+
+
+def _witt_p_division(target, e):
+    """The Witt route of solve_p_division: p^e shifts a Witt vector by e and
+    raises its entries to the p^e-th power (symbols included), so the bottom
+    entries of a solution are the e-fold p-th roots of the target's entries
+    e.., and the rest is free."""
+    from gkit.polys import SparsePoly
+
+    ring, level, p = target.ring, target.level, target.ring.char_p
+    w = C.to_witt(target)
+    forced = []
+    for j in range(level - e):
+        entry = w[j + e]
+        for _ in range(e):
+            assert all(a % p == 0 for x in entry.terms for a in x)
+            roots = {tuple(a // p for a in x): c.pth_root() for x, c in entry.terms.items()}
+            entry = SparsePoly(ring.domain, ring.nvars, roots)
+        forced.append(entry)
+    padded = WittVector(ring, tuple(forced) + (ring.zero(),) * e)
+    return C.extract(padded, max_position=level - 1 - e)
+
+
+@pytest.mark.parametrize("nsyms", [1, 2])
+@pytest.mark.parametrize("p,d,level", SYMBOLIC_CASES)
+def test_symbolic_model_matches_witt_route(p, d, level, nsyms):
+    ring, draws = _symbolic_draws(p, d, level, nsyms)
+    assert C.uses_model(ring)
+    tw = C.to_witt
+    for a, b in draws:
+        assert C.cohen_add(a, b) == C.extract(W.witt_add(tw(a), tw(b)))
+        assert C.cohen_sub(a, b) == C.extract(W.witt_sub(tw(a), tw(b)))
+        assert C.cohen_mul(a, b) == C.extract(W.witt_mul(tw(a), tw(b)))
+        assert C.cohen_neg(a) == C.extract(W.witt_neg(tw(a)))
+        for e in range(1, level):
+            # repeated Witt addition: the symbolic ring has no Frobenius
+            assert C.p_pow_times(a, e) == C.extract(W.int_times(p**e, tw(a)))
+            # p^e divides an element supported at positions >= e whose
+            # symbols occur to p^e-th powers
+            low = C.truncate_level(b, level - e)
+            low = C.CohenElem(ring, level - e, {s: _symbol_power(x, p**e) for s, x in low.coords.items()})
+            target = C.ver_embed(low, level)
+            got = C.solve_p_division(target, e)
+            assert got == _witt_p_division(target, e)
+            assert C.p_pow_times(got, e) == target
+        for low in range(1, level):
+            assert C.truncate_level(a, low) == C.extract(tw(a).truncate(low))

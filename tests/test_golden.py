@@ -1,5 +1,7 @@
-"""Byte-for-byte CLI output of the worked example and two selftest seeds,
-against files recorded before the Cohen model replaced the Witt route."""
+"""Byte-for-byte CLI output of the worked example, two selftest seeds and a
+Greenberg script, against files recorded before the Cohen model replaced
+the Witt route (the Greenberg script: before the symbolic expansion moved
+into the model)."""
 
 import os
 import subprocess
@@ -20,9 +22,22 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
     ],
 )
 def test_cli_output_is_byte_identical(args, name):
+    _check_output(args, name, 0)
+
+
+def test_greenberg_output_is_byte_identical():
+    """C_3(F_2(t)), the Eisenstein base at p = 3 (stages 0 and 1), two
+    p-basis names at stage 2 and a two-variable quadratic, with point
+    transfer; the last push is the known stage-1 NotASolution record, so
+    the run exits 1."""
+    script = os.path.join("tests", "golden", "greenberg.gk")
+    _check_output(["--script", script], "greenberg", 1)
+
+
+def _check_output(args, name, status):
     proc = subprocess.run(
         [sys.executable, "-m", "gkit.cli"] + args, capture_output=True, cwd=ROOT
     )
-    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.returncode == status, proc.stderr.decode()
     with open(os.path.join(GOLDEN, f"{name}.jsonl"), "rb") as fh:
         assert proc.stdout == fh.read()

@@ -350,3 +350,18 @@ def test_transform_deterministic(worked_example):
     b = G.greenberg_transform(X)
     assert a.equation_strings() == b.equation_strings()
     assert a.symbols == b.symbols
+
+
+def test_monomial_cap_bounds_the_model(params2):
+    """The cap counts the monomials of the Cohen model's numerators: a
+    two-variable quadratic over C_3 builds products of about 50 of them."""
+    base = B.make_unramified(params2, 3)
+    alg = base.algebra()
+    tau = alg.teich(params2.gen(0))
+    X = G.AffinePresentation(
+        base, ["x", "y"], [{(1, 1): alg.one(), (2, 0): tau, (0, 0): -alg.one()}]
+    )
+    want = G.greenberg_transform(X, monomial_cap=None).equation_strings()
+    assert G.greenberg_transform(X).equation_strings() == want
+    with pytest.raises(ResourceLimit, match="exceeded 40 monomials"):
+        G.greenberg_transform(X, monomial_cap=40)
