@@ -9,13 +9,16 @@ and the map f -> (f_i) is the fundamental primitive everything else builds
 on: p-th roots, Cohen-ring extraction, and the splitting of the additive
 group along Frobenius all reduce to it.  All arithmetic is exact; equality
 of values coincides with equality of representations.
+
+On an etale extension, digit expansion, inverses and the separability
+check are all linear solves over k (`linalg.row_reduce`).
 """
 
 import itertools
 
 from . import linalg
 from .errors import DivisionByZero, InternalError, NotAPthPower, NotAUnit, TypeMismatch
-from .polys import FpDomain, SparsePoly, exact_div, poly_gcd, poly_pth_root
+from .polys import FpDomain, SparsePoly, exact_div, format_sym_poly, poly_gcd, poly_pth_root
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981  # first composite passing all bases
@@ -244,10 +247,10 @@ class BaseFieldElem:
     # -- display --------------------------------------------------------------
 
     def __str__(self):
-        num = _poly_str(self.num, self.params.names)
+        num = format_sym_poly(self.num, self.params.names)
         if self.den == self.params._one_poly():
             return num
-        den = _poly_str(self.den, self.params.names)
+        den = format_sym_poly(self.den, self.params.names)
         if "+" in num or "-" in num[1:]:
             num = f"({num})"
         if "+" in den or "-" in den[1:] or "*" in den or "^" in den:
@@ -287,23 +290,6 @@ def _lowest_terms(params, num, den):
     return BaseFieldElem(params, num, den, normalize=False)
 
 
-def _poly_str(poly, names):
-    if poly.is_zero():
-        return "0"
-    out = []
-    for exps, c in poly.sorted_terms():
-        factors = []
-        if c != 1 or all(e == 0 for e in exps):
-            factors.append(str(c))
-        for name, e in zip(names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        out.append("*".join(factors))
-    return " + ".join(out)
-
-
 # ---------------------------------------------------------------------------
 # Etale extensions k[y]/(g)
 # ---------------------------------------------------------------------------
@@ -312,8 +298,10 @@ def _poly_str(poly, names):
 class EtaleAlgebra:
     """A monogenic etale extension Q = k[y]/(g), g monic separable.
 
-    Elements are coordinate vectors in the power basis {1, y, .., y^(deg-1)};
-    separability is validated via gcd(g, g') = 1.  Etale extensions are
+    Elements are coordinate vectors in the power basis {1, y, .., y^(deg-1)}.
+    An element is a unit iff its multiplication matrix is invertible, and g
+    is separable iff g' is a unit of Q; both are checked by solving that
+    matrix against the coordinates of 1.  Etale extensions are
     relatively perfect over k, so digit expansion stays available: it is
     computed by solving the semilinear system attached to the Frobenius
     matrix on the power basis.
@@ -328,9 +316,10 @@ class EtaleAlgebra:
         self.coeffs = coeffs
         self.deg = len(coeffs) - 1
         self.name = name
-        if not _univar_coprime(coeffs, _univar_derivative(coeffs, params), params):
-            raise TypeMismatch("defining polynomial is not separable")
         self._reduction = power_table(coeffs, params.zero())
+        derivative = EtaleElem(self, [coeffs[i].scale_int(i) for i in range(1, len(coeffs))])
+        if derivative._inverse_coords() is None:
+            raise TypeMismatch("defining polynomial is not separable")
         self._frob = None
         self._digit_matrix = None
 
@@ -455,29 +444,29 @@ class EtaleElem:
         return EtaleElem(self.algebra, tuple(c.scale_int(n) for c in self.coords))
 
     def inverse(self):
-        """Extended Euclid against g; NotAUnit when a factor is shared."""
+        """The solve of (multiplication by self) v = 1; NotAUnit when the
+        multiplication matrix is singular (self shares a factor with g)."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        params = self.params
-        g = list(self.algebra.coeffs)
-        f = list(self.coords)
-        r0, r1 = g, _univar_trim(f, params)
-        s0, s1 = [params.zero()], [params.one()]
-        while _univar_deg(r1, params) > 0:
-            q, r = _univar_divmod(r0, r1, params)
-            r0, r1 = r1, r
-            s0, s1 = s1, _univar_sub(s0, _univar_mul(q, s1, params), params)
-            if _univar_deg(r1, params) < 0:
-                raise NotAUnit("element shares a factor with the defining polynomial")
-        c = r1[0]
-        if c.is_zero():
+        coords = self._inverse_coords()
+        if coords is None:
             raise NotAUnit("element shares a factor with the defining polynomial")
-        inv_c = c.inverse()
-        coords = [params.zero()] * self.algebra.deg
-        for i, v in enumerate(s1):
-            if i < len(coords):
-                coords[i] = v * inv_c
-        return EtaleElem(self.algebra, tuple(coords))
+        return EtaleElem(self.algebra, coords)
+
+    def _inverse_coords(self):
+        """Coordinates of v with self * v = 1, by row reduction of the
+        matrix of multiplication by self (column j: self * y^j) against
+        the coordinates of 1; None when the matrix is singular."""
+        deg, y = self.algebra.deg, self.algebra.gen()
+        cols = [self]
+        for _ in range(1, deg):
+            cols.append(cols[-1] * y)
+        one = self.algebra.one().coords
+        augmented = [[c.coords[r] for c in cols] + [one[r]] for r in range(deg)]
+        rows, pivots = linalg.row_reduce(augmented, self.params.zero())
+        if pivots != list(range(deg)):
+            return None
+        return tuple(row[deg] for row in rows)
 
     def pth_power(self, iterations=1):
         out = self
@@ -601,74 +590,6 @@ def quotient_mul(a, b, table, zero):
     return tuple(out)
 
 
-# -- dense univariate helpers over k (lists of BaseFieldElem) ----------------
-
-
-def _univar_deg(f, params):
-    for i in reversed(range(len(f))):
-        if not f[i].is_zero():
-            return i
-    return -1
-
-
-def _univar_trim(f, params):
-    d = _univar_deg(f, params)
-    return list(f[: d + 1]) if d >= 0 else [params.zero()]
-
-
-def _univar_sub(a, b, params):
-    n = max(len(a), len(b))
-    zero = params.zero()
-    out = [
-        (a[i] if i < len(a) else zero) - (b[i] if i < len(b) else zero)
-        for i in range(n)
-    ]
-    return _univar_trim(out, params)
-
-
-def _univar_mul(a, b, params):
-    zero = params.zero()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return _univar_trim(out, params)
-
-
-def _univar_divmod(a, b, params):
-    a = _univar_trim(a, params)
-    db = _univar_deg(b, params)
-    if db < 0:
-        raise DivisionByZero("univariate division by zero")
-    lead_inv = b[db].inverse()
-    zero = params.zero()
-    quot = [zero] * max(len(a) - db, 1)
-    rem = list(a)
-    while _univar_deg(rem, params) >= db:
-        dr = _univar_deg(rem, params)
-        c = rem[dr] * lead_inv
-        quot[dr - db] = c
-        for i in range(db + 1):
-            rem[dr - db + i] = rem[dr - db + i] - c * b[i]
-    return _univar_trim(quot, params), _univar_trim(rem, params)
-
-
-def _univar_derivative(f, params):
-    out = [f[i].scale_int(i) for i in range(1, len(f))]
-    return _univar_trim(out, params) if out else [params.zero()]
-
-
-def _univar_coprime(a, b, params):
-    r0, r1 = _univar_trim(a, params), _univar_trim(b, params)
-    while _univar_deg(r1, params) > 0:
-        _, r = _univar_divmod(r0, r1, params)
-        r0, r1 = r1, r
-    return _univar_deg(r1, params) == 0 and not r1[0].is_zero()
-
-
 def _univar_str(coeffs, name):
     parts = []
     for j in reversed(range(len(coeffs))):
@@ -721,9 +642,7 @@ def _embed_monomial(sample, idx):
 
 def pbasis_expand(f):
     """Digit expansion of an element of k or of an EtaleAlgebra."""
-    if isinstance(f, BaseFieldElem):
-        return DigitExpansion(f.params, f.digits())
-    if isinstance(f, EtaleElem):
+    if isinstance(f, (BaseFieldElem, EtaleElem)):
         return DigitExpansion(f.params, f.digits())
     raise TypeMismatch(f"cannot expand {type(f).__name__}")
 

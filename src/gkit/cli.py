@@ -12,6 +12,7 @@ GKIT_SYMBOL_CAP); everything else flows through flags.
 
 import argparse
 import json
+import operator
 import os
 import sys
 
@@ -20,6 +21,7 @@ from .base import ArtinianBase, make_eisenstein, make_unramified
 from .basefield import PrimeParams
 from .errors import (
     GkitError,
+    NotEisenstein,
     TypeMismatch,
     UnknownIdentifier,
 )
@@ -88,48 +90,55 @@ def witt_to_json(w):
 # ---------------------------------------------------------------------------
 
 
-def eval_int(ast):
-    kind = ast[0]
-    if kind == "int":
-        return ast[1]
+def _fold(node, leaf, divide):
+    """Evaluate an expression tree: neg, pow, +, - and * through the
+    operands' own operators, '/' through ``divide`` (after both operands),
+    and int, name and call nodes through ``leaf``."""
+    kind = node[0]
     if kind == "neg":
-        return -eval_int(ast[1])
+        return -_fold(node[1], leaf, divide)
     if kind == "pow":
-        return eval_int(ast[1]) ** ast[2]
+        return _fold(node[1], leaf, divide) ** node[2]
     if kind == "bin":
-        a, b = eval_int(ast[2]), eval_int(ast[3])
-        if ast[1] == "+":
+        a, b = _fold(node[2], leaf, divide), _fold(node[3], leaf, divide)
+        if node[1] == "+":
             return a + b
-        if ast[1] == "-":
+        if node[1] == "-":
             return a - b
-        if ast[1] == "*":
+        if node[1] == "*":
             return a * b
-        raise TypeMismatch("integer expressions do not support '/'")
-    raise TypeMismatch(f"expected an integer expression, found {kind}")
+        return divide(a, b)
+    return leaf(node)
+
+
+def _refuse_division(message):
+    def divide(a, b):
+        raise TypeMismatch(message)
+
+    return divide
+
+
+def eval_int(ast):
+    def leaf(node):
+        if node[0] == "int":
+            return node[1]
+        raise TypeMismatch(f"expected an integer expression, found {node[0]}")
+
+    return _fold(ast, leaf, _refuse_division("integer expressions do not support '/'"))
 
 
 def eval_k(ast, params):
-    kind = ast[0]
-    if kind == "int":
-        return params.from_int(ast[1])
-    if kind == "name":
-        if ast[1] in params.names:
-            return params.gen(params.names.index(ast[1]))
-        raise UnknownIdentifier(f"unknown residue-field name {ast[1]!r}")
-    if kind == "neg":
-        return -eval_k(ast[1], params)
-    if kind == "pow":
-        return eval_k(ast[1], params) ** ast[2]
-    if kind == "bin":
-        a, b = eval_k(ast[2], params), eval_k(ast[3], params)
-        if ast[1] == "+":
-            return a + b
-        if ast[1] == "-":
-            return a - b
-        if ast[1] == "*":
-            return a * b
-        return a / b
-    raise TypeMismatch(f"not a residue-field expression: {kind}")
+    def leaf(node):
+        kind = node[0]
+        if kind == "int":
+            return params.from_int(node[1])
+        if kind == "name":
+            if node[1] in params.names:
+                return params.gen(params.names.index(node[1]))
+            raise UnknownIdentifier(f"unknown residue-field name {node[1]!r}")
+        raise TypeMismatch(f"not a residue-field expression: {kind}")
+
+    return _fold(ast, leaf, operator.truediv)
 
 
 def eval_ring_poly(ast, session, base, variables):
@@ -141,7 +150,7 @@ def eval_ring_poly(ast, session, base, variables):
     def const(v):
         return SparsePoly.constant(domain, nvars, v)
 
-    def walk(node):
+    def leaf(node):
         kind = node[0]
         if kind == "int":
             return const(algebra.from_int(node[1]))
@@ -165,28 +174,13 @@ def eval_ring_poly(ast, session, base, variables):
                     f"residue-field element {name!r} needs teich(..) in ring context"
                 )
             raise UnknownIdentifier(f"unknown name {name!r}")
-        if kind == "call":
-            if node[1] == "teich":
-                if len(node[2]) != 1:
-                    raise TypeMismatch("teich takes one argument")
-                return const(algebra.teich(eval_k(node[2][0], session.params)))
-            raise UnknownIdentifier(f"unknown function {node[1]!r}")
-        if kind == "neg":
-            return -walk(node[1])
-        if kind == "pow":
-            return walk(node[1]) ** node[2]
-        if kind == "bin":
-            a, b = walk(node[2]), walk(node[3])
-            if node[1] == "+":
-                return a + b
-            if node[1] == "-":
-                return a - b
-            if node[1] == "*":
-                return a * b
-            raise TypeMismatch("ring expressions do not support '/'")
-        raise TypeMismatch(f"bad expression node {kind}")
+        if node[1] == "teich":
+            if len(node[2]) != 1:
+                raise TypeMismatch("teich takes one argument")
+            return const(algebra.teich(eval_k(node[2][0], session.params)))
+        raise UnknownIdentifier(f"unknown function {node[1]!r}")
 
-    return walk(ast)
+    return _fold(ast, leaf, _refuse_division("ring expressions do not support '/'"))
 
 
 def eval_base_elem(ast, session, base):
@@ -194,61 +188,29 @@ def eval_base_elem(ast, session, base):
 
 
 def eval_pi_poly(ast, session, m):
-    """Evaluate an Eisenstein defining polynomial as {pi-degree: C_m(k)}."""
-    K = FieldRing(session.params)
+    """Evaluate an Eisenstein defining polynomial as a polynomial in pi over
+    C_m(k), the unramified base of level m."""
+    algebra = make_unramified(session.params, m).algebra()
+    domain = ElemDomain(algebra.zero(), algebra.one())
 
-    def const(c):
-        return {0: c}
+    def const(v):
+        return SparsePoly.constant(domain, 1, v)
 
-    def add(a, b):
-        out = dict(a)
-        for deg, c in b.items():
-            out[deg] = cohen.cohen_add(out[deg], c) if deg in out else c
-        return out
-
-    def neg(a):
-        return {deg: cohen.cohen_neg(c) for deg, c in a.items()}
-
-    def mul(a, b):
-        out = {}
-        for d1, c1 in a.items():
-            for d2, c2 in b.items():
-                prod = cohen.cohen_mul(c1, c2)
-                deg = d1 + d2
-                out[deg] = cohen.cohen_add(out[deg], prod) if deg in out else prod
-        return out
-
-    def walk(node):
+    def leaf(node):
         kind = node[0]
         if kind == "int":
-            return const(cohen.cohen_from_int(K, m, node[1]))
+            return const(algebra.from_int(node[1]))
         if kind == "name":
             if node[1] == "pi":
-                return {1: cohen.teich_lift(K, m, session.params.one())}
+                return SparsePoly.variable(domain, 1, 0)
             if node[1] == "p":
-                return const(cohen.cohen_from_int(K, m, session.params.p))
+                return const(algebra.p())
             raise UnknownIdentifier(f"unknown name {node[1]!r} in E")
-        if kind == "call" and node[1] == "teich":
-            return const(cohen.teich_lift(K, m, eval_k(node[2][0], session.params)))
-        if kind == "neg":
-            return neg(walk(node[1]))
-        if kind == "pow":
-            out = const(cohen.teich_lift(K, m, session.params.one()))
-            for _ in range(node[2]):
-                out = mul(out, walk(node[1]))
-            return out
-        if kind == "bin":
-            a, b = walk(node[2]), walk(node[3])
-            if node[1] == "+":
-                return add(a, b)
-            if node[1] == "-":
-                return add(a, neg(b))
-            if node[1] == "*":
-                return mul(a, b)
-            raise TypeMismatch("E does not support '/'")
+        if node[1] == "teich":
+            return const(algebra.teich(eval_k(node[2][0], session.params)))
         raise TypeMismatch(f"bad E node {kind}")
 
-    return walk(ast)
+    return _fold(ast, leaf, _refuse_division("E does not support '/'"))
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +245,11 @@ class Session:
             ring = make_unramified(self.params, decl["m"])
         else:
             poly = eval_pi_poly(decl["E"], self, decl["m"])
-            deg = max(poly)
-            K = FieldRing(self.params)
-            one = cohen.teich_lift(K, decl["m"], self.params.one())
-            if poly.get(deg) != one:
-                from .errors import NotEisenstein
-
+            deg = poly.degree_in(0)
+            if poly.terms.get((deg,)) != poly.domain.one:
                 raise NotEisenstein("E must be monic in pi")
-            coeffs = [
-                poly.get(i, cohen.CohenElem.zero(K, decl["m"])) for i in range(deg)
-            ]
+            zero = poly.domain.zero
+            coeffs = [poly.terms.get((i,), zero).components[0] for i in range(deg)]
             ring = make_eisenstein(self.params, decl["m"], coeffs)
         self.rings[decl["name"]] = ring
 

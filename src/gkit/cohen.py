@@ -349,7 +349,9 @@ def _coordinate(ring, v, den):
 
 def from_model(num, den, ring, level, top=None):
     """Peel the canonical coordinates at positions 0..top (default: all)
-    off num / lift(den)^{p^n}; num may be known modulo p^{level - top} only."""
+    off num / lift(den)^{p^n}; num may be known modulo p^{level - top} only.
+    NotInCohen when a symbol exponent at position j is not a multiple of
+    p^{n-j}: then num is no element's model."""
     params = ring.params
     p, n, d = params.p, level - 1, params.d
     symbolic = num.nvars > d
@@ -367,8 +369,8 @@ def from_model(num, den, ring, level, top=None):
             c %= p
             if c:
                 if symbolic and any(a % q for a in e[d:]):
-                    raise InternalError(f"symbol exponents {e[d:]} at position {j} "
-                                        f"are not multiples of {q}")
+                    raise NotInCohen(f"symbol exponents {e[d:]} at position {j} "
+                                     f"are not multiples of {q}")
                 m = tuple(a % q for a in e[:d])
                 parts.setdefault(m, {})[tuple(a // q for a in e)] = c
         cleared = num
@@ -505,8 +507,10 @@ def solve_p_division(target: CohenElem, exponent) -> CohenElem:
     Requires a relatively perfect ambient (k or etale): the p-th roots must
     exist and be unique.
 
-    Over k the model divides the numerator by p^e instead, peels positions
-    0..n-e, and checks p^e * c = target in the model.
+    Over k and k[z] the model divides the numerator by p^e instead, peels
+    positions 0..n-e, and checks p^e * c = target in the model; over k[z]
+    the peel refuses a quotient whose symbols occur to powers no element
+    has, such as target x_1(0) = t*u at level 2.
     """
     ring = target.ring
     level = target.level
@@ -523,7 +527,10 @@ def solve_p_division(target: CohenElem, exponent) -> CohenElem:
         quot = num
         for _ in range(e):
             quot = _div_p(quot, ring.char_p, "p-division of a numerator not divisible by p")
-        c = from_model(quot, den, ring, level, top=n - e)
+        try:
+            c = from_model(quot, den, ring, level, top=n - e)
+        except NotInCohen as exc:
+            raise NotInImage(f"target is not p^{e} times an element: {exc}") from None
         c_num, c_den = to_model(c)
         back = _shift(c_num, (0,) * ring.params.d, ring.char_p**e)
         diff, _ = _model_add((back, c_den), (-num, den), target)
@@ -536,7 +543,7 @@ def solve_p_division(target: CohenElem, exponent) -> CohenElem:
         entry = w[j + e]
         for _ in range(e):
             try:
-                entry = ring.pth_root(entry)
+                entry = entry.pth_root()
             except NotAPthPower as exc:
                 raise NotInImage(f"entry {j + e} is not a p^{e}-th power: {exc}")
         forced.append(entry)

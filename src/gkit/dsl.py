@@ -51,13 +51,19 @@ class Token:
 
 
 def tokenize(text):
+    """Tokens with line and column, ending in an eof token; a character
+    outside the token set becomes an error token, which the parser rejects
+    inside its statement."""
     tokens = []
     line, col = 1, 1
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(line, col, "a token", text[pos])
+            tokens.append(Token("error", text[pos], line, col))
+            col += 1
+            pos += 1
+            continue
         kind = m.lastgroup
         value = m.group()
         if kind not in ("ws", "comment"):
@@ -82,8 +88,11 @@ class Parser:
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self, offset=0):
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self):
+        tok = self.tokens[self.pos]
+        if tok.kind == "error":
+            raise ParseError(tok.line, tok.col, "a token", tok.value)
+        return tok
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -115,7 +124,7 @@ class Parser:
         next ';' at brace depth 0 from the statement's start, or after the
         '}' that closes a braced declaration."""
         statements = []
-        while self.peek().kind != "eof":
+        while self.tokens[self.pos].kind != "eof":
             start = self.pos
             try:
                 statements.append(self.parse_statement())
@@ -127,7 +136,7 @@ class Parser:
 
     def _skip_statement(self):
         depth = 0
-        while self.peek().kind != "eof":
+        while self.tokens[self.pos].kind != "eof":
             kind = self.next().kind
             depth += (kind == "{") - (kind == "}")
             if depth <= 0 and kind in (";", "}"):

@@ -1,8 +1,9 @@
 """Exact Gaussian elimination over a field given by element objects.
 
 Elements must support +, -, *, ==, and .inverse(); the zero element is
-passed explicitly.  Used for the semilinear digit solves on etale algebras
-(on the augmented matrix) and for linearized kernel computations.
+passed explicitly.  Etale algebras row-reduce augmented matrices for their
+semilinear digit solves, their inverses and their separability check; the
+Greenberg kernel report takes the nullity of a linearized system.
 """
 
 

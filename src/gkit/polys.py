@@ -1,14 +1,17 @@
 """Sparse multivariate polynomials over a pluggable coefficient domain.
 
 A polynomial is a dict mapping exponent tuples (one entry per variable) to
-nonzero coefficients.  The same core drives three instantiations:
+nonzero coefficients.  The same core drives four instantiations:
 
 * ``FpDomain`` -- coefficients in the prime field F_p (ints in [0, p)),
 * ``ZmodDomain`` -- coefficients in Z/p^k (the Cohen-ring model over k),
 * ``IntDomain`` -- integer coefficients (universal Witt structure polynomials),
 * ``ElemDomain`` -- coefficients given by Python objects with arithmetic
   dunders (rational function fields, etale algebras, and the base rings
-  of scheme equations; division needs a field).
+  of scheme equations and of E; division needs a field).
+
+``format_sym_poly`` is the one printer, also for the numerators and
+denominators of elements of k.
 
 Monomial order is graded lexicographic throughout: compare total degree,
 then the exponent tuple.
@@ -35,9 +38,6 @@ class ZmodDomain:
 
     def mul(self, a, b):
         return (a * b) % self.q
-
-    def from_int(self, n):
-        return n % self.q
 
     def is_zero(self, a):
         return a % self.q == 0
@@ -78,9 +78,6 @@ class IntDomain:
     def mul(self, a, b):
         return a * b
 
-    def from_int(self, n):
-        return n
-
     def is_zero(self, a):
         return a == 0
 
@@ -113,9 +110,6 @@ class ElemDomain:
 
     def inv(self, a):
         return a.inverse()
-
-    def from_int(self, n):
-        return self.one.scale_int(n) if hasattr(self.one, "scale_int") else self.one * n
 
     def is_zero(self, a):
         return a == self.zero
@@ -345,6 +339,28 @@ def eval_terms(terms, values, embed, zero):
                 term = term * power
         acc = term if acc is None else acc + term
     return embed(zero) if acc is None else acc
+
+
+def format_sym_poly(poly, symbols):
+    """Terms in decreasing graded-lex order; a coefficient other than 1
+    leads its term, in parentheses when it is a sum or a fraction."""
+    if poly.is_zero():
+        return "0"
+    parts = []
+    for exps, c in poly.sorted_terms():
+        factors = []
+        cs = str(c)
+        if cs != "1" or all(e == 0 for e in exps):
+            if "+" in cs or "-" in cs[1:] or "/" in cs:
+                cs = f"({cs})"
+            factors.append(cs)
+        for name, e in zip(symbols, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------

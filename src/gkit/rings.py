@@ -23,8 +23,8 @@ import itertools
 import operator
 
 from .basefield import EtaleAlgebra, PrimeParams
-from .errors import NotAPthPower, TypeMismatch
-from .polys import ElemDomain, SparsePoly
+from .errors import TypeMismatch
+from .polys import ElemDomain, SparsePoly, format_sym_poly
 
 
 class _OperatorArithmetic:
@@ -89,14 +89,6 @@ class _AmbientRing:
             for m, v in self.digits_iter(xi, n - 1).items():
                 out[tuple(a + p * b for a, b in zip(i, m))] = v
         return out
-
-    def pth_root(self, x):
-        zero_idx = (0,) * self.params.d
-        dig = self.digits1(x)
-        for i, v in dig.items():
-            if i != zero_idx:
-                raise NotAPthPower(f"digit at index {i} is nonzero")
-        return dig.get(zero_idx, self.zero())
 
 
 class _FieldElemRing(_OperatorArithmetic, _AmbientRing):
@@ -235,26 +227,6 @@ class SymbolicRing(_OperatorArithmetic, _AmbientRing):
 
     def __repr__(self):
         return f"<ring k[{', '.join(self.symbols)}]>"
-
-
-def format_sym_poly(poly, symbols):
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for exps, c in poly.sorted_terms():
-        factors = []
-        cs = str(c)
-        if cs != "1" or all(e == 0 for e in exps):
-            if "+" in cs or "-" in cs[1:] or "/" in cs:
-                cs = f"({cs})"
-            factors.append(cs)
-        for name, e in zip(symbols, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
 
 
 def multi_indices(bound, d):

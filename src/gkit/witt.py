@@ -91,14 +91,6 @@ class StructurePolys:
             )
         return self._reduced
 
-    def term_counts(self):
-        return {
-            "sums": [len(q.terms) for q in self.sums],
-            "prods": [len(q.terms) for q in self.prods],
-            "negs": [len(q.terms) for q in self.negs],
-            "frobs": [len(q.terms) for q in self.frobs],
-        }
-
 
 def _exact_div_int(poly, k):
     terms = {}

@@ -114,6 +114,31 @@ def test_etale_ops(etale_q, params2):
         split.gen().inverse()
 
 
+def test_etale_degree_three_inverses(params3):
+    """Inverses solve the multiplication matrix: x * x^-1 = 1 on seeded
+    elements of k[y]/(y^3 - y - t) at p = 3.  In the split k[y]/(y^3 - y)
+    the zero divisors y, y + 1 and y^2 - 1 are no units while y + t is one,
+    and y^3 - t (zero derivative) is refused as not separable."""
+    import random
+
+    t, one, zero = params3.gen(0), params3.one(), params3.zero()
+    q = EtaleAlgebra(params3, [-t, -one, zero, one])
+    rng = random.Random(3)
+    for _ in range(20):
+        x = rand_etale_elem(rng, q)
+        if not x.is_zero():
+            assert x * x.inverse() == q.one()
+    split = EtaleAlgebra(params3, [zero, -one, zero, one])
+    y = split.gen()
+    for x in (y, y + split.one(), y * y - split.one()):
+        with pytest.raises(NotAUnit):
+            x.inverse()
+    unit = y + split.from_k(t)
+    assert unit * unit.inverse() == split.one()
+    with pytest.raises(TypeMismatch, match="not separable"):
+        EtaleAlgebra(params3, [-t, zero, zero, one])
+
+
 def test_etale_expand_example(etale_q):
     y = etale_q.gen()
     d = pbasis_expand(y)

@@ -346,6 +346,81 @@ def test_fuzzed_scripts_raise_only_gkit_errors():
             pytest.fail(f"{type(exc).__name__}: {exc}\nscript:\n{text}")
 
 
+def test_inserted_characters_cost_one_record():
+    """Seeded well-formed scripts, one statement a line, with one character
+    outside the token set inserted: the statement around it becomes the one
+    parse record, every other command still gets its record, and no
+    statement gets two.  (``elem h over A = ..`` in FUZZ_STATEMENTS does not
+    parse, so it is left out.)"""
+    import random
+    import time
+
+    def parses(statement):
+        try:
+            dsl.parse(statement)
+        except ParseError:
+            return False
+        return True
+
+    well_formed = [s for s in FUZZ_STATEMENTS if parses(s)]
+    rng = random.Random(20261019)
+    for _ in range(40):
+        p = rng.choice((2, 3))
+        lines = [f"base {{ p = {p}; pbasis = [t]; }}"]
+        lines += [rng.choice(well_formed) for _ in range(rng.randrange(1, 5))]
+        lines += [
+            "ring S = unramified(2);",
+            "scheme X over S { vars [x]; eqs [ x^2 - teich(t)^2 ]; }",
+            "greenberg X --stage 0;",
+            "point push X (teich(t));",
+            "point pull X (0, 1, 0);" if p == 2 else "point pull X (0, 1, 0, 0);",
+        ]
+        text = "\n".join(lines)
+        pos = rng.randrange(len(text))
+        text = text[:pos] + rng.choice("@$%&!?") + text[pos:]
+        kinds = [kind for kind, _ in dsl.Parser(text).parse_script()]
+        assert len(kinds) == len(lines) and kinds.count("parse") == 1, text
+        start = time.monotonic()
+        records = run_script(text, SessionConfig()).results
+        assert time.monotonic() - start < 5.0, text
+        cmds = [r for r in records if r["cmd"] != "parse" and not r["cmd"].startswith("declare.")]
+        assert [r["cmd"] for r in records].count("parse") == 1, text
+        assert len(cmds) == kinds.count("cmd"), text
+        assert len(records) <= len(lines), text
+
+
+def test_tokenizer_errors_cost_one_record_each(tmp_path):
+    path = tmp_path / "token.gk"
+    path.write_text(
+        "base { p = 2; pbasis = [t]; }\n"
+        "witt add (1,0) (1,0);\n"
+        "witt add (1,0) (1,@);\n"
+        "witt neg (1,0);\n"
+    )
+    proc = run_cli(["--script", str(path)])
+    assert proc.returncode == 1, proc.stderr
+    assert records_of(proc.stdout) == [
+        {"cmd": "witt.add", "result": ["0", "1"], "status": "ok"},
+        {"cmd": "parse", "status": "error", "error": {
+            "type": "ParseError", "line": 3, "col": 19, "expected": "a token",
+            "message": "line 3, col 19: expected a token, found '@'"}},
+        {"cmd": "witt.neg", "result": ["1", "1"], "status": "ok"},
+    ]
+
+
+def test_cancelled_top_term_of_E_is_dropped():
+    """E = pi^3 - pi^3 + pi^2 - p is pi^2 - p: the written pi^3 cancels."""
+    session = run_script(
+        "base { p = 2; pbasis = [t]; }\n"
+        "ring B = eisenstein(2, E = pi^3 - pi^3 + pi^2 - p);\n"
+        "ring C = eisenstein(2, E = pi^2 - p);\n",
+        SessionConfig(),
+    )
+    assert not session.failed, session.results
+    assert session.rings["B"] == session.rings["C"]
+    assert session.rings["B"].e == 2
+
+
 def test_parse_errors_cost_one_record_each(tmp_path):
     path = tmp_path / "parse.gk"
     path.write_text(

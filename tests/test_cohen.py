@@ -418,3 +418,19 @@ def test_symbolic_model_matches_witt_route(p, d, level, nsyms):
             assert C.p_pow_times(got, e) == target
         for low in range(1, level):
             assert C.truncate_level(a, low) == C.extract(tw(a).truncate(low))
+
+
+def test_symbolic_p_division_outside_the_image(params2):
+    """Over F_2(t)[u], x_1(0) = t*u is p times nothing: p*c puts the symbols
+    of c's position-0 coordinates to the p-th power.  x_1(0) = t*u^2 is p
+    times x_0(1) = u."""
+    from gkit.rings import SymbolicRing
+
+    ring = SymbolicRing(params2, ["u"])
+    t, u = ring.scalar(params2.gen(0)), ring.variable("u")
+    with pytest.raises(NotInImage):
+        C.solve_p_division(C.CohenElem.single(ring, 2, 1, (0,), t * u), 1)
+    target = C.CohenElem.single(ring, 2, 1, (0,), t * u * u)
+    got = C.solve_p_division(target, 1)
+    assert got == C.CohenElem.single(ring, 2, 0, (1,), u)
+    assert C.p_pow_times(got, 1) == target

@@ -34,6 +34,14 @@ def test_greenberg_output_is_byte_identical():
     _check_output(["--script", script], "greenberg", 1)
 
 
+def test_expression_error_records_are_byte_identical():
+    """Every error of E, of ring-context and of int- and k-context
+    expressions, one record per failing statement, and one witt add over
+    fractions; recorded before the expression evaluators became one fold."""
+    script = os.path.join("tests", "golden", "errors.gk")
+    _check_output(["--script", script], "errors", 1)
+
+
 def _check_output(args, name, status):
     proc = subprocess.run(
         [sys.executable, "-m", "gkit.cli"] + args, capture_output=True, cwd=ROOT
