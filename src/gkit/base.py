@@ -35,6 +35,8 @@ class ArtinianBase:
     """One of the two supported base families, possibly cut down to A/I^j."""
 
     def __init__(self, params: PrimeParams, kind, m, ecoeffs=None, trunc=None, _validate=True):
+        if m < 1:
+            raise TypeMismatch(f"the level m must be at least 1, got {m}")
         self.params = params
         self.kind = kind
         self.m = m

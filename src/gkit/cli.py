@@ -141,6 +141,12 @@ def eval_k(ast, params):
     return _fold(ast, leaf, operator.truediv)
 
 
+def _teich_arg(node, params):
+    if len(node[2]) != 1:
+        raise TypeMismatch("teich takes one argument")
+    return eval_k(node[2][0], params)
+
+
 def eval_ring_poly(ast, session, base, variables):
     """Evaluate an expression over a base ring, with scheme variables."""
     algebra = base.algebra()
@@ -175,9 +181,7 @@ def eval_ring_poly(ast, session, base, variables):
                 )
             raise UnknownIdentifier(f"unknown name {name!r}")
         if node[1] == "teich":
-            if len(node[2]) != 1:
-                raise TypeMismatch("teich takes one argument")
-            return const(algebra.teich(eval_k(node[2][0], session.params)))
+            return const(algebra.teich(_teich_arg(node, session.params)))
         raise UnknownIdentifier(f"unknown function {node[1]!r}")
 
     return _fold(ast, leaf, _refuse_division("ring expressions do not support '/'"))
@@ -207,7 +211,7 @@ def eval_pi_poly(ast, session, m):
                 return const(algebra.p())
             raise UnknownIdentifier(f"unknown name {node[1]!r} in E")
         if node[1] == "teich":
-            return const(algebra.teich(eval_k(node[2][0], session.params)))
+            return const(algebra.teich(_teich_arg(node, session.params)))
         raise TypeMismatch(f"bad E node {kind}")
 
     return _fold(ast, leaf, _refuse_division("E does not support '/'"))

@@ -10,16 +10,19 @@ coordinate.  The k-solutions of the output system biject with X(A);
 `point_to_coords` and `coords_to_point` transport points both ways.
 
 Weil restriction along the absolute Frobenius expands a system over k into
-p^d times as many variables by substituting z = sum z_i T^i in
-Q^(p) = Q[T_1..T_d]/(T_j^p - t_j) and collecting on the T-basis; iterating
-it realizes finite stages of relative perfection.
+p^d times as many variables.  Stage s of the transform is Res_F applied s
+times to the system (Kato's tower, whose limit is the relatively perfect
+transform): R -> Y(R tensor_{k,F} k), with k-points mapped by
+z = sum_i z_i^p t^i, so points move between stages by digit expansion.
+The public `weil_restrict` computes Res_F(Y^(p)), the restriction of the
+Frobenius twist of its input.
 """
 
 from . import cohen
 from .base import ArtinianBase
-from .basefield import pbasis_expand
+from .basefield import DigitExpansion, pbasis_expand
 from .errors import NotASolution, ResourceLimit, TypeMismatch
-from .polys import ElemDomain, SparsePoly, eval_terms
+from .polys import SparsePoly, eval_terms
 from .rings import SymbolicRing, format_sym_poly, multi_indices
 
 DEFAULT_MONOMIAL_CAP = 20_000
@@ -56,12 +59,13 @@ class GreenbergPresentation:
 
     symbols: ordered coordinate names (stage 0:
     z<var>.<position>.<i1_.._id>.<component>; each restriction stage
-    appends .s<i1_.._id>).  equations: SparsePoly over k in those symbols,
+    appends .s<i1_.._id>; the child of symbol v at digit position k is
+    v * p^d + k).  equations: SparsePoly over k in those symbols,
     one per canonical coordinate of each input equation (position, then
     multi-index, then component), then split p^d-fold per stage.
     """
 
-    def __init__(self, base, variables, symbols, equations, stage, layout, stages):
+    def __init__(self, base, variables, symbols, equations, stage, layout):
         self.base = base
         self.params = base.params
         self.variables = variables
@@ -69,7 +73,6 @@ class GreenbergPresentation:
         self.equations = equations
         self.stage = stage
         self.layout = layout  # var -> list of (symbol index, w, j, i), stage-0
-        self.stages = stages  # per stage: list of child-index lists per parent
 
     def equation_strings(self):
         return [format_sym_poly(q, self.symbols) for q in self.equations]
@@ -88,9 +91,6 @@ class GreenbergPresentation:
             eval_terms(q.terms, values, lambda c: c, zero).is_zero()
             for q in self.equations
         )
-
-    def stage0_symbol_count(self):
-        return sum(len(slots) for slots in self.layout.values())
 
 
 def _slot_symbols(base, variables, symbol_cap):
@@ -142,10 +142,10 @@ def greenberg_transform(
             for w in range(base.e):
                 if j < base.component_bound(w):
                     equations.append(value.components[w].coords.get((j, i), ring.zero()))
-    pres = GreenbergPresentation(base, X.variables, symbols, equations, 0, layout, [])
     for _ in range(stage):
-        pres = weil_restrict_presentation(pres, monomial_cap, symbol_cap)
-    return pres
+        symbols = _refined_symbols(base.params, symbols, symbol_cap)
+        equations = _restrict(SymbolicRing(base.params, symbols), equations, monomial_cap)
+    return GreenbergPresentation(base, X.variables, symbols, equations, stage, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +161,13 @@ def point_to_coords(X: AffinePresentation, pres: GreenbergPresentation, point):
         if not res.is_zero():
             raise NotASolution(f"equation {idx} does not vanish at the point")
     zero = X.base.params.zero()
-    coords = [zero] * pres.stage0_symbol_count()
+    coords = [zero] * sum(len(slots) for slots in pres.layout.values())
     for var, value in zip(X.variables, values):
         for idx, w, j, i in pres.layout[var]:
             coords[idx] = value.components[w].coords.get((j, i), zero)
-    for record in pres.stages:
-        nxt = [zero] * sum(len(children) for children in record)
-        for parent, children in enumerate(record):
-            digits = pbasis_expand(coords[parent])
-            for child, idx in zip(children, multi_indices(X.base.params.p, X.base.params.d)):
-                nxt[child] = digits[idx]
-        coords = nxt
+    idxs = multi_indices(X.base.params.p, X.base.params.d)
+    for _ in range(pres.stage):
+        coords = [pbasis_expand(c)[i] for c in coords for i in idxs]
     if not pres.is_solution(coords):
         raise NotASolution("transported coordinates fail the emitted system")
     return coords
@@ -182,14 +178,12 @@ def coords_to_point(X: AffinePresentation, pres: GreenbergPresentation, coords):
     point_to_coords on solutions."""
     coords = list(coords)
     params = X.base.params
-    for record in reversed(pres.stages):
-        prev = [params.zero()] * len(record)
-        for parent, children in enumerate(record):
-            acc = params.zero()
-            for child, idx in zip(children, multi_indices(params.p, params.d)):
-                acc = acc + coords[child].pth_power() * params.monomial(idx)
-            prev[parent] = acc
-        coords = prev
+    idxs = multi_indices(params.p, params.d)
+    for _ in range(pres.stage):
+        coords = [
+            DigitExpansion(params, dict(zip(idxs, coords[v : v + len(idxs)]))).reconstruct()
+            for v in range(0, len(coords), len(idxs))
+        ]
     algebra = X.base.algebra()
     point = []
     for var in X.variables:
@@ -214,82 +208,51 @@ def coords_to_point(X: AffinePresentation, pres: GreenbergPresentation, coords):
 
 
 def weil_restrict(params, symbols, equations, monomial_cap=None, symbol_cap=None):
-    """One restriction stage for a polynomial system over k.
-
-    Substitute z = sum_{i in [0,p-1]^d} z_i T^i inside Q[T]/(T_j^p - t_j),
-    reduce T-powers, and emit the p^d coefficient equations per input
-    equation.  Returns (new symbols, new equations, children) where
-    children[v] lists the indices of the p^d refinements of old symbol v
-    in digit order.
+    """One restriction stage for a polynomial system Y over k: Res_F(Y^(p)),
+    the restriction of the Frobenius twist of Y, whose k-solutions z are the
+    solutions sum_i z_i^p t^i of Y with its k-coefficients raised to the
+    p-th power.  The presentation tower restricts Y itself, Res_F(Y).
+    ``monomial_cap`` counts monomials in the new symbols.  Returns (new
+    symbols, new equations, children) where children[v] lists the indices
+    of the p^d refinements of old symbol v in digit order.
     """
-    p, d = params.p, params.d
-    idxs = multi_indices(p, d)
-    new_symbols = []
-    children = []
-    for name in symbols:
-        row = []
-        for i in idxs:
-            iword = "_".join(str(c) for c in i) if i else "0"
-            row.append(len(new_symbols))
-            new_symbols.append(f"{name}.s{iword}")
-        children.append(row)
+    ring = SymbolicRing(params, _refined_symbols(params, symbols, symbol_cap))
+    size = params.p ** params.d
+    children = [list(range(v * size, (v + 1) * size)) for v in range(len(symbols))]
+    twisted = [ring.twist(q, 1) for q in equations]
+    return list(ring.symbols), _restrict(ring, twisted, monomial_cap), children
+
+
+def _refined_symbols(params, symbols, symbol_cap):
+    """Symbol v's child at digit position k is v * p^d + k, named v.s<i>."""
+    new_symbols = [
+        f"{name}.s{'_'.join(str(c) for c in i) if i else '0'}"
+        for name in symbols
+        for i in multi_indices(params.p, params.d)
+    ]
     if symbol_cap is not None and len(new_symbols) > symbol_cap:
         raise ResourceLimit(f"{len(new_symbols)} symbols exceed the cap {symbol_cap}")
+    return new_symbols
 
-    # refined symbols then the d auxiliary T variables
-    domain = ElemDomain(params.zero(), params.one())
-    nvars_ext = len(new_symbols) + d
-    substitution = {}
-    for v in range(len(symbols)):
-        acc = SparsePoly.zero(domain, nvars_ext)
-        for pos, i in enumerate(idxs):
-            mono = [0] * nvars_ext
-            mono[children[v][pos]] = 1
-            for j, c in enumerate(i):
-                mono[len(new_symbols) + j] = c
-            acc = acc + SparsePoly(domain, nvars_ext, {tuple(mono): params.one()})
-        substitution[v] = acc
 
-    new_equations = []
+def _restrict(ring, equations, monomial_cap):
+    """Res_F(Y) in the refined symbols of ``ring``.  Since
+    q(sum_i z_i^p t^i) = sum_i Q_i(z)^p t^i, substitute z_v -> sum_i t^i z_{v,i}
+    into q and split every coefficient into its t-digits: digit i is Q_i."""
+    params, n = ring.params, ring.nvars
+    idxs = multi_indices(params.p, params.d)
+    zero, monomials = (0,) * n, [params.monomial(i) for i in idxs]
+    substitution = {
+        v: SparsePoly(ring.domain, n, {zero[:j] + (1,) + zero[j + 1 :]: c
+                                       for j, c in enumerate(monomials, v * len(idxs))})
+        for v in range(n // len(idxs))
+    }
+    out = []
     for q in equations:
-        lifted = SparsePoly(
-            domain,
-            nvars_ext,
-            {e + (0,) * d: c for e, c in q.terms.items()},
-        )
-        expanded = lifted.substitute(substitution, cap=monomial_cap)
-        buckets = {i: {} for i in idxs}
-        for exps, c in expanded.terms.items():
-            sym_part = exps[: len(new_symbols)]
-            t_part = exps[len(new_symbols) :]
-            residue = tuple(e % p for e in t_part)
-            carry = tuple(e // p for e in t_part)
-            coeff = c * params.monomial(carry)
-            bucket = buckets[residue]
-            prev = bucket.get(sym_part)
-            s = prev + coeff if prev is not None else coeff
-            if s.is_zero():
-                bucket.pop(sym_part, None)
-            else:
-                bucket[sym_part] = s
-        for i in idxs:
-            new_equations.append(SparsePoly(domain, len(new_symbols), buckets[i]))
-    return new_symbols, new_equations, children
-
-
-def weil_restrict_presentation(pres, monomial_cap=None, symbol_cap=None):
-    symbols, equations, children = weil_restrict(
-        pres.params, pres.symbols, pres.equations, monomial_cap, symbol_cap
-    )
-    return GreenbergPresentation(
-        pres.base,
-        pres.variables,
-        symbols,
-        equations,
-        pres.stage + 1,
-        pres.layout,
-        pres.stages + [children],
-    )
+        lifted = SparsePoly(ring.domain, n, {e + (0,) * (n - len(e)): c for e, c in q.terms.items()})
+        digits = ring.digits1(lifted.substitute(substitution, cap=monomial_cap))
+        out.extend(digits.get(i, ring.zero()) for i in idxs)
+    return out
 
 
 # ---------------------------------------------------------------------------

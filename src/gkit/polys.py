@@ -237,9 +237,9 @@ class SparsePoly:
         if n < 0:
             raise InternalError("negative polynomial power")
         one = SparsePoly.constant(self.domain, self.nvars, self.domain.one)
-        # with a cap, even the first factor is multiplied in, so a base
-        # already over the cap raises
-        result = one if cap is not None else None
+        if cap is not None and n and len(self.terms) > cap:
+            raise ResourceLimit(f"intermediate polynomial exceeded {cap} monomials")
+        result = None
         base = self
         while n:
             if n & 1:

@@ -315,7 +315,7 @@ FUZZ_STATEMENTS = [
     "ring A = unramified(2);",
     "ring B = eisenstein(2, E = pi^2 - p);",
     "elem g = teich(t) + p;",
-    "elem h over A = 1 + p*teich(t);",
+    "elem h = 1 + p*teich(t) over A;",
     "units level g;",
     "units level h --ring A;",
     "units ppow-solve h --n 1;",
@@ -350,8 +350,7 @@ def test_inserted_characters_cost_one_record():
     """Seeded well-formed scripts, one statement a line, with one character
     outside the token set inserted: the statement around it becomes the one
     parse record, every other command still gets its record, and no
-    statement gets two.  (``elem h over A = ..`` in FUZZ_STATEMENTS does not
-    parse, so it is left out.)"""
+    statement gets two."""
     import random
     import time
 
@@ -406,6 +405,39 @@ def test_tokenizer_errors_cost_one_record_each(tmp_path):
             "message": "line 3, col 19: expected a token, found '@'"}},
         {"cmd": "witt.neg", "result": ["1", "1"], "status": "ok"},
     ]
+
+
+@pytest.mark.parametrize(
+    "p,lines",
+    [
+        (2, ["ring Z = unramified(0);", "elem z = 1 over Z;"]),
+        (3, ["ring B = eisenstein(0, E = pi - p);"]),
+    ],
+    ids=["unramified", "eisenstein"],
+)
+def test_level_zero_ring_is_a_declaration_record(p, lines):
+    session = run_script(
+        "\n".join([f"base {{ p = {p}; pbasis = [t]; }}"] + lines), SessionConfig()
+    )
+    rings = [r for r in session.results if r["cmd"] == "declare.ring"]
+    assert len(rings) == 1, session.results
+    assert rings[0]["error"] == {
+        "type": "TypeMismatch", "message": "the level m must be at least 1, got 0"
+    }
+
+
+def test_teich_in_E_takes_one_argument():
+    session = run_script(
+        "base { p = 3; pbasis = [t]; }\n"
+        "ring B = eisenstein(2, E = pi^2 - teich(t, t)*p);\n"
+        "ring C = eisenstein(2, E = pi^2 - teich(t)*p);\n",
+        SessionConfig(),
+    )
+    assert session.results == [{
+        "cmd": "declare.ring", "status": "error",
+        "error": {"type": "TypeMismatch", "message": "teich takes one argument"},
+    }]
+    assert session.rings["C"].e == 2 and "B" not in session.rings
 
 
 def test_cancelled_top_term_of_E_is_dropped():

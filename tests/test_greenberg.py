@@ -4,7 +4,7 @@ from gkit import base as B
 from gkit import greenberg as G
 from gkit.errors import NotASolution, ResourceLimit
 from gkit.polys import eval_terms
-from gkit.rings import SymbolicRing
+from gkit.rings import SymbolicRing, multi_indices
 from gkit.sampling import rand_base_elem, rand_etale_elem, rand_field_elem
 
 
@@ -184,6 +184,21 @@ def test_weil_restrict_counit(params2, rng):
 
         dig = pbasis_expand(v)
         assert dig[(0,)].pth_power() + dig[(1,)].pth_power() * t == v
+    # the presentation tower is untwisted: each stage-0 equation q of
+    # x - teich(t^2 + 1) over C_2 satisfies q(sum z_i^p t^i) = sum Q_i(z)^p t^i
+    # with Q_0, Q_1 its two stage-1 equations
+    base = B.make_unramified(params2, 2)
+    alg = base.algebra()
+    X = G.AffinePresentation(
+        base, ["x"], [{(1,): alg.one(), (0,): -alg.teich(t * t + params2.one())}]
+    )
+    pres0, pres1 = G.greenberg_transform(X, stage=0), G.greenberg_transform(X, stage=1)
+    for _ in range(20):
+        zs = [rand_field_elem(rng, params2) for _ in pres1.symbols]
+        args = [zs[2 * v].pth_power() + zs[2 * v + 1].pth_power() * t for v in range(3)]
+        for j, q in enumerate(pres0.equations):
+            parts = [eval_poly(pres1.equations[2 * j + i], zs) for i in range(2)]
+            assert eval_poly(q, args) == parts[0].pth_power() + parts[1].pth_power() * t
 
 
 def _twisted_algebra_eval(algebra, coeffs, point):
@@ -276,6 +291,48 @@ def test_stage_transport(worked_example, params2, rng):
     assert pres1.is_solution(coords)
     back = G.coords_to_point(X, pres1, coords)
     assert (back[0] - point[0]).is_zero()
+
+
+def test_stage_points_biject_and_reassemble(params2, params22, base_unram2, base_eis_p3, rng):
+    """At stages 1 and 2, over C_2 and C_3 at p = 2, Eisenstein pi^2 - p at
+    p = 3 and a d = 2 base, on schemes with coefficients outside F_p: every
+    point pushes to a solution, pulls back to itself, and its stage-(s+1)
+    coordinates reassemble to the stage-s ones by z = sum_i z_i^p t^i."""
+    t = params2.gen(0)
+    alg2 = base_unram2.algebra()
+    root = alg2.teich(t * t + params2.one())
+    cases = [(G.AffinePresentation(base_unram2, ["x"], [{(1,): alg2.one(), (0,): -root}]), [root])]
+    for base in (base_unram2, B.make_unramified(params2, 3), base_eis_p3,
+                 B.make_unramified(params22, 2)):
+        alg, u = base.algebra(), base.params.gen(0)
+        c = alg.teich(u) + alg.p() * alg.teich(u + base.params.one())
+        s, target = rand_base_elem(rng, base), rand_base_elem(rng, base)
+        # c*(x - s), and c*(y - x^2 - target*x) over C_2 only (its stage-2
+        # system over the other bases has 10^4 terms or more); c is a unit
+        # outside F_p
+        cases.append((G.AffinePresentation(base, ["x"], [{(1,): c, (0,): -(c * s)}]), [s]))
+        if base is base_unram2:
+            quad = G.AffinePresentation(
+                base, ["x", "y"], [{(0, 1): c, (2, 0): -c, (1, 0): -(c * target)}]
+            )
+            cases.append((quad, [s, s * s + target * s]))
+    for X, point in cases:
+        params = X.base.params
+        idxs = multi_indices(params.p, params.d)
+        below = G.point_to_coords(X, G.greenberg_transform(X, stage=0), point)
+        for stage in (1, 2):
+            pres = G.greenberg_transform(X, stage=stage)
+            coords = G.point_to_coords(X, pres, point)
+            assert pres.is_solution(coords)
+            back = G.coords_to_point(X, pres, coords)
+            assert all((a - b).is_zero() for a, b in zip(back, point))
+            for v, z in enumerate(below):
+                children = coords[v * len(idxs) : (v + 1) * len(idxs)]
+                assert z == sum(
+                    (zi.pth_power() * params.monomial(i) for zi, i in zip(children, idxs)),
+                    params.zero(),
+                )
+            below = coords
 
 
 def test_ga_frob_examples(params2, rng):
