@@ -17,6 +17,7 @@ arithmetic "compute in A, then renormalize".
 """
 
 import math
+import operator
 
 from . import cohen
 from .basefield import BaseFieldElem, EtaleAlgebra, PrimeParams, power_table, quotient_mul
@@ -151,7 +152,7 @@ class BaseAlgebra:
 
     Over k this is the base itself; over a symbolic polynomial ring it is
     the twisted algebra the Greenberg transform expands inside.  Both
-    multiply in the Cohen model (cohen.py); an ambient outside it, such as
+    compute in the Cohen model (cohen.py); an ambient outside it, such as
     an etale extension, raises UnsupportedAlgebra (the lifted etale
     extension `LiftedEtale` works over the k-algebra instead).
     """
@@ -191,7 +192,7 @@ class BaseAlgebra:
     def pi(self):
         if self.base.e == 1:
             if self.base.kind == "eisenstein":
-                return self.from_component(cohen.cohen_neg(self._ecoeffs[0]))
+                return -self.from_component(self._ecoeffs[0])
             raise TypeMismatch("unramified base has no uniformizer pi beyond p")
         comps = [cohen.CohenElem.zero(self.ring, self.base.m)] * self.base.e
         comps[1] = cohen.teich_lift(self.ring, self.base.m, self.ring.one())
@@ -248,12 +249,9 @@ class BaseElem:
 
     __slots__ = ("algebra", "components")
 
-    def __init__(self, algebra: BaseAlgebra, components, normalize=True):
-        comps = tuple(components)
-        if normalize:
-            comps = algebra._normalize(comps)
+    def __init__(self, algebra: BaseAlgebra, components):
         self.algebra = algebra
-        self.components = comps
+        self.components = algebra._normalize(components)
 
     @property
     def base(self):
@@ -265,20 +263,14 @@ class BaseElem:
 
     def __add__(self, other):
         self._check(other)
-        return BaseElem(
-            self.algebra,
-            [cohen.cohen_add(a, b) for a, b in zip(self.components, other.components)],
-        )
+        return _componentwise(operator.add, self, other)
 
     def __sub__(self, other):
         self._check(other)
-        return BaseElem(
-            self.algebra,
-            [cohen.cohen_sub(a, b) for a, b in zip(self.components, other.components)],
-        )
+        return _componentwise(operator.sub, self, other)
 
     def __neg__(self):
-        return BaseElem(self.algebra, [cohen.cohen_neg(a) for a in self.components])
+        return _componentwise(operator.neg, self)
 
     def __mul__(self, other):
         self._check(other)
@@ -298,9 +290,7 @@ class BaseElem:
 
     def scale_p(self, s=1):
         """Multiply by p^s (componentwise on the pi-basis)."""
-        return BaseElem(
-            self.algebra, [cohen.p_pow_times(c, s) for c in self.components]
-        )
+        return _componentwise(lambda x: cohen.shift(x, (), self.base.params.p**s), self)
 
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
@@ -422,6 +412,14 @@ def _model_product(alg, x, y):
     return conv[:e], den
 
 
+def _componentwise(op, *elems):
+    """op on the model numerators of each component, all components of all
+    operands over one shared denominator, peeled once."""
+    e = elems[0].base.e
+    nums, den = cohen.to_models([c for x in elems for c in x.components])
+    return _peel(elems[0].algebra, ([op(*nums[w::e]) for w in range(e)], den))
+
+
 def _peel(alg, vec):
     """The BaseElem of a model vector: each component peeled once, only
     through the positions its quotient keeps."""
@@ -438,10 +436,9 @@ def graded_unit(base: ArtinianBase, i, c):
     alg = base.algebra()
     e = base.e
     w0, s = i % e, i // e
-    comp = cohen.p_pow_times(cohen.teich_lift(base.field_ring, base.m, c), s)
     comps = [cohen.CohenElem.zero(base.field_ring, base.m)] * e
-    comps[w0] = comp
-    return BaseElem(alg, comps)
+    comps[w0] = cohen.teich_lift(base.field_ring, base.m, c)
+    return BaseElem(alg, comps).scale_p(s)
 
 
 def structure_map(base: ArtinianBase, c) -> BaseElem:

@@ -29,7 +29,9 @@ choice modulo p^{n-j+1}).  An element is kept as num / lift(den)^{p^n}
 with num over Z/p^{n+1} and den a nonzero F_p polynomial in T, so sums and
 products are polynomial arithmetic and p-division divides num.  Choosing
 den = lcm of the coordinates' denominators, slot (j, i) adds
-p^j * T^i * lift(x * den^{p^j})^{p^{n-j}} to num (`to_models`).
+p^j * T^i * lift(x * den^{p^j})^{p^{n-j}} to num.  `to_models` is the one
+way into the model: it brings all operands of an operation over one shared
+den (a kept model is multiplied by the lift of its cofactor to the p^n).
 
 A symbolic coordinate x(z) enters the same way after the substitution
 z = w^{p^n}: the twist of x is X(w)^{p^n}, X being x with each z renamed w
@@ -220,8 +222,8 @@ def lift_power(poly, dom, e, nvars=None, cap=None):
     return SparsePoly(dom, poly.nvars + len(pad), terms).pow(e, cap=cap)
 
 
-def _shift(poly, i, scale):
-    """scale * T^i * poly."""
+def shift(poly, i, scale):
+    """scale * T^i * poly, i padded with zeros (i = () only scales)."""
     q = poly.domain.q
     i = tuple(i) + (0,) * (poly.nvars - len(i))
     terms = {}
@@ -297,14 +299,9 @@ def to_models(elems):
                 for t, v in (a.num * cof * den_powers[j]).terms.items():
                     terms[t + e] = v
             w = SparsePoly(params.domain, nvars, terms)
-            num = num + _shift(lift_power(w, dom, p ** (n - j), cap=cap), i, p**j)
+            num = num + shift(lift_power(w, dom, p ** (n - j), cap=cap), i, p**j)
         nums.append(num)
     return nums, den
-
-
-def to_model(c):
-    nums, den = to_models([c])
-    return nums[0], den
 
 
 def model_inverse(num, den, ring, level):
@@ -317,7 +314,7 @@ def model_inverse(num, den, ring, level):
     new_den = _reduce(num, ring.params.domain)
     inv_lc = ring.params.domain.inv(new_den.leading()[1])
     new_num = lift_power(den, dom, e) * num.pow(e - 1)
-    return _shift(new_num, (0,) * num.nvars, pow(inv_lc, e, dom.q)), new_den.scale(inv_lc)
+    return shift(new_num, (), pow(inv_lc, e, dom.q)), new_den.scale(inv_lc)
 
 
 def _div_p(poly, p, message):
@@ -379,7 +376,7 @@ def from_model(num, den, ring, level, top=None):
             coords[(j, m)] = _coordinate(ring, v, den_j)
             if j < top:
                 lift = lift_power(v, num.domain, q, cap=ring.monomial_cap)
-                cleared = cleared - _shift(lift, m, 1)
+                cleared = cleared - shift(lift, m, 1)
         if j < top:
             num = _div_p(cleared, p, "digit extraction did not clear its position")
             den_j = den_j.pow(p)
@@ -387,18 +384,6 @@ def from_model(num, den, ring, level, top=None):
     if complete:
         c.model = model
     return c
-
-
-def _model_add(x, y, c):
-    """Sum of two models of C_{n+1}(Q), c's ring, over lcm(den1, den2)."""
-    (n1, d1), (n2, d2) = x, y
-    if d1 == d2:
-        return n1 + n2, d1
-    g = poly_gcd(d1, d2)
-    dom, e, cap = n1.domain, c.ring.char_p ** (c.level - 1), c.ring.monomial_cap
-    c1, c2 = exact_div(d2, g), exact_div(d1, g)
-    lifts = [lift_power(f, dom, e, n1.nvars, cap) for f in (c1, c2)]
-    return n1.mul(lifts[0], cap) + n2.mul(lifts[1], cap), d1 * c1
 
 
 def _closure_op(op, *args):
@@ -411,30 +396,31 @@ def _closure_op(op, *args):
 def cohen_add(a: CohenElem, b: CohenElem) -> CohenElem:
     _check_pair(a, b)
     if uses_model(a.ring):
-        return from_model(*_model_add(to_model(a), to_model(b), a), a.ring, a.level)
+        (x, y), den = to_models([a, b])
+        return from_model(x + y, den, a.ring, a.level)
     return _closure_op(lambda: extract(witt_add(to_witt(a), to_witt(b))))
 
 
 def cohen_sub(a: CohenElem, b: CohenElem) -> CohenElem:
     _check_pair(a, b)
     if uses_model(a.ring):
-        num, den = to_model(b)
-        return from_model(*_model_add(to_model(a), (-num, den), a), a.ring, a.level)
+        (x, y), den = to_models([a, b])
+        return from_model(x - y, den, a.ring, a.level)
     return _closure_op(lambda: extract(witt_sub(to_witt(a), to_witt(b))))
 
 
 def cohen_mul(a: CohenElem, b: CohenElem) -> CohenElem:
     _check_pair(a, b)
     if uses_model(a.ring):
-        (n1, d1), (n2, d2) = to_model(a), to_model(b)
-        return from_model(n1.mul(n2, a.ring.monomial_cap), d1 * d2, a.ring, a.level)
+        (x, y), den = to_models([a, b])
+        return from_model(x.mul(y, a.ring.monomial_cap), den * den, a.ring, a.level)
     return _closure_op(lambda: extract(witt_mul(to_witt(a), to_witt(b))))
 
 
 def cohen_neg(a: CohenElem) -> CohenElem:
     if uses_model(a.ring):
-        num, den = to_model(a)
-        return from_model(-num, den, a.ring, a.level)
+        (x,), den = to_models([a])
+        return from_model(-x, den, a.ring, a.level)
     return _closure_op(lambda: extract(witt_neg(to_witt(a))))
 
 
@@ -464,28 +450,16 @@ def ver_embed(c: CohenElem, target_level) -> CohenElem:
     (j + n - m, i); index ranges match on the nose."""
     if target_level < c.level:
         raise LevelMismatch(f"cannot embed level {c.level} into {target_level}")
-    shift = target_level - c.level
-    coords = {(j + shift, i): x for (j, i), x in c.coords.items()}
+    offset = target_level - c.level
+    coords = {(j + offset, i): x for (j, i), x in c.coords.items()}
     return CohenElem(c.ring, target_level, coords)
-
-
-def ver_project(c: CohenElem, source_level) -> CohenElem:
-    """Inverse of ver_embed on its image."""
-    shift = c.level - source_level
-    if shift < 0:
-        raise LevelMismatch("source level exceeds element level")
-    if c.support_min_position() < shift:
-        raise NotInImage(f"support below position {shift}")
-    coords = {(j - shift, i): x for (j, i), x in c.coords.items()}
-    return CohenElem(c.ring, source_level, coords)
 
 
 def p_pow_times(c: CohenElem, exponent=1) -> CohenElem:
     """p^exponent * c, computed in the model or at the vector level."""
     if uses_model(c.ring):
-        num, den = to_model(c)
-        shifted = _shift(num, (0,) * c.ring.params.d, c.ring.char_p**exponent)
-        return from_model(shifted, den, c.ring, c.level)
+        (x,), den = to_models([c])
+        return from_model(shift(x, (), c.ring.char_p**exponent), den, c.ring, c.level)
     w = to_witt(c)
     for _ in range(exponent):
         w = p_times(w)
@@ -523,7 +497,7 @@ def solve_p_division(target: CohenElem, exponent) -> CohenElem:
     if e == 0:
         return target
     if uses_model(ring):
-        num, den = to_model(target)
+        (num,), den = to_models([target])
         quot = num
         for _ in range(e):
             quot = _div_p(quot, ring.char_p, "p-division of a numerator not divisible by p")
@@ -531,10 +505,13 @@ def solve_p_division(target: CohenElem, exponent) -> CohenElem:
             c = from_model(quot, den, ring, level, top=n - e)
         except NotInCohen as exc:
             raise NotInImage(f"target is not p^{e} times an element: {exc}") from None
-        c_num, c_den = to_model(c)
-        back = _shift(c_num, (0,) * ring.params.d, ring.char_p**e)
-        diff, _ = _model_add((back, c_den), (-num, den), target)
-        if not diff.is_zero():
+        (back,), c_den = to_models([c])
+        back = shift(back, (), ring.char_p**e)
+        if c_den != den:  # compare over lcm(c_den, den)
+            g, cap = poly_gcd(c_den, den), ring.monomial_cap
+            lift = lambda f: lift_power(exact_div(f, g), num.domain, ring.char_p**n, num.nvars, cap)
+            back, num = back.mul(lift(den), cap), num.mul(lift(c_den), cap)
+        if back != num:
             raise InternalError("p-division verification failed")
         return c
     w = to_witt(target)
@@ -589,7 +566,7 @@ def truncate_level(c: CohenElem, target_level) -> CohenElem:
         # T maps to T: reduce num mod p^L, and lift(den)^{p^n} is
         # lift(den^{p^{n-L+1}})^{p^{L-1}} modulo p^L; a symbol's w becomes
         # w^s, s = p^{n-L+1}, since z = w^{p^n} = (w^s)^{p^{L-1}}
-        num, den = to_model(c)
+        (num,), den = to_models([c])
         p, d = c.ring.char_p, c.ring.params.d
         s = p ** (c.level - target_level)
         low = _reduce(num, ZmodDomain(p**target_level))

@@ -53,10 +53,6 @@ class UnsupportedAlgebra(GkitError):
     code = "UnsupportedAlgebra"
 
 
-class UnsupportedBase(GkitError):
-    code = "UnsupportedBase"
-
-
 class ResourceLimit(GkitError):
     code = "ResourceLimit"
 

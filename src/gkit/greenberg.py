@@ -371,16 +371,11 @@ def _symbolic_kernel_report(A2, A1, group, report):
             len(pres2.symbols) - len(pres1.symbols) == len(report["freed_slots"])
         )
         return
-    X2 = AffinePresentation(
-        A2,
-        ["x", "y"],
-        [{(1, 1): A2.algebra().one(), (0, 0): -A2.algebra().one()}],
-    )
-    pres2 = greenberg_transform(X2)
     one = A2.algebra().one()
+    X2 = AffinePresentation(A2, ["x", "y"], [{(1, 1): one, (0, 0): -one}])
+    pres2 = greenberg_transform(X2)
     identity_coords = point_to_coords(X2, pres2, [one, one])
-    freed = {(w, j, tuple(ix)) for w, j, ix in
-             [(f["component"], f["position"], tuple(f["index"])) for f in report["freed_slots"]]}
+    freed = {(f["component"], f["position"], tuple(f["index"])) for f in report["freed_slots"]}
     pinned = {}
     free_indices = []
     for var in X2.variables:
@@ -392,58 +387,26 @@ def _symbolic_kernel_report(A2, A1, group, report):
     # substitute pinned values, keep freed symbols formal
     zero = A2.params.zero()
     rows = []
-    rhs = []
     linear = True
     for q in pres2.equations:
+        pinned_q = q.substitute(
+            {v: SparsePoly.constant(q.domain, q.nvars, c) for v, c in pinned.items()}
+        )
         row = [zero] * len(free_indices)
-        const = zero
-        for exps, c in q.terms.items():
-            coeff = c
-            free_part = []
-            for v, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if v in pinned:
-                    coeff = coeff * pinned[v] ** e
-                else:
-                    free_part.extend([v] * e)
-            if len(free_part) == 0:
-                const = const + coeff
-            elif len(free_part) == 1:
-                pos = free_indices.index(free_part[0])
-                row[pos] = row[pos] + coeff
-            else:
-                if not coeff.is_zero():
-                    linear = False
-        if any(not v.is_zero() for v in row) or not const.is_zero():
+        for exps, c in pinned_q.terms.items():
+            if sum(exps) == 1:
+                row[free_indices.index(exps.index(1))] = c
+            elif sum(exps) > 1:
+                linear = False
+        if not pinned_q.is_zero():
             rows.append(row)
-            rhs.append(-const)
     solution_dim = None
-    if linear and rows:
-        solution_dim = linalg.nullity(rows, zero)
-    elif linear:
-        solution_dim = len(free_indices)
+    if linear:
+        solution_dim = linalg.nullity(rows, zero) if rows else len(free_indices)
     report["symbolic"] = {
         "kernel_symbols": len(free_indices),
         "linear": linear,
         "solution_dim": solution_dim,
     }
-    if linear and solution_dim is not None and free_indices:
+    if linear and free_indices:
         report["pass"] = report["pass"] and solution_dim * 2 == len(free_indices)
-
-
-# ---------------------------------------------------------------------------
-# Localization compatibility
-# ---------------------------------------------------------------------------
-
-
-def unit_locus_agrees(X: AffinePresentation, pres, g_equation, point):
-    """g(P) is a unit in A iff the level-0 digit vector of its canonical
-    coordinates is nonzero; returns (unit?, digit-vector-nonzero?)."""
-    algebra = X.base.algebra()
-    value = eval_terms(g_equation, point, algebra.embed, algebra.zero())
-    is_unit = not value.algebra.ring.is_zero(value.residue())
-    level0 = [
-        x for (j, _), x in value.components[0].coords.items() if j == 0
-    ]
-    return is_unit, bool(level0)

@@ -293,6 +293,8 @@ class SparsePoly:
                         SparsePoly.variable(dom, self.nvars, v, e), cap=cap
                     )
             out = out + factor
+            if cap is not None and len(out.terms) > cap:
+                raise ResourceLimit(f"intermediate polynomial exceeded {cap} monomials")
         return out
 
 
@@ -326,10 +328,15 @@ def eval_terms(terms, values, embed, zero):
     """Evaluate a terms mapping (exponent tuple -> coefficient) at ring
     elements with dunder arithmetic; ``embed`` carries each coefficient
     into the ring of the values, and each power is computed once per call.
-    The empty mapping evaluates to ``embed(zero)``."""
+    A term with a positive exponent on a zero value is zero, so it is
+    skipped.  The empty sum evaluates to ``embed(zero)``."""
+    zero = embed(zero)
+    zeros = [v for v, x in enumerate(values) if x == zero]
     powers = {}
     acc = None
     for exps in sorted(terms):
+        if any(exps[v] for v in zeros):
+            continue
         term = embed(terms[exps])
         for v, e in enumerate(exps):
             if e:
@@ -338,7 +345,7 @@ def eval_terms(terms, values, embed, zero):
                     power = powers[v, e] = values[v] ** e
                 term = term * power
         acc = term if acc is None else acc + term
-    return embed(zero) if acc is None else acc
+    return zero if acc is None else acc
 
 
 def format_sym_poly(poly, symbols):

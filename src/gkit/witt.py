@@ -8,7 +8,9 @@ Arithmetic is driven by the universal structure polynomials, built once per
 with every division checked to be exact.  Over the integers the ghost maps
 are injective, which makes them an independent oracle for the construction;
 over F_p-algebras the mod-p reductions of the same polynomials are used
-(they are much smaller).
+(they are much smaller).  Every op evaluates them with the one polynomial
+evaluator, `polys.eval_terms`, which skips a term with a positive exponent
+on a zero entry.
 
 Sizes grow quickly with N: keep N <= 4 for p = 2 and N <= 3 for p = 3.
 Measured term counts of the full integer polynomials:
@@ -30,7 +32,7 @@ N = 5 for p = 2.
 import threading
 
 from .errors import IndexOutOfRange, InternalError, LengthMismatch, ResourceLimit
-from .polys import IntDomain, SparsePoly
+from .polys import IntDomain, SparsePoly, eval_terms
 
 _INT = IntDomain()
 _cache = {}
@@ -82,12 +84,9 @@ class StructurePolys:
     def reduced_mod_p(self):
         """The same polynomials with coefficients reduced mod p (zeros dropped)."""
         if self._reduced is None:
-            red = lambda polys: [_reduce_mod(q, self.p) for q in polys]
-            self._reduced = (
-                red(self.sums),
-                red(self.prods),
-                red(self.negs),
-                red(self.frobs),
+            self._reduced = tuple(
+                [q.map_coeffs(lambda c: c % self.p) for q in polys]
+                for polys in (self.sums, self.prods, self.negs, self.frobs)
             )
         return self._reduced
 
@@ -100,15 +99,6 @@ def _exact_div_int(poly, k):
             raise InternalError(f"inexact division by {k} in structure polynomials")
         if q:
             terms[e] = q
-    return SparsePoly(_INT, poly.nvars, terms)
-
-
-def _reduce_mod(poly, p):
-    terms = {}
-    for e, c in poly.terms.items():
-        c %= p
-        if c:
-            terms[e] = c
     return SparsePoly(_INT, poly.nvars, terms)
 
 
@@ -200,73 +190,41 @@ def witt_zero(ring, N):
     return WittVector(ring, (ring.zero(),) * N)
 
 
-def witt_one(ring, N):
-    return teichmuller(ring, ring.one(), N)
-
-
 def teichmuller(ring, x, N):
     """The multiplicative representative (x, 0, .., 0)."""
     return WittVector(ring, (x,) + (ring.zero(),) * (N - 1))
 
 
-def _eval_poly(poly, ring, values):
-    """Evaluate an integer polynomial at ring elements, caching powers.
-
-    A term with a positive exponent on a zero value is zero, so it is skipped."""
-    acc = ring.zero()
-    powers = [{} for _ in values]
-    zeros = [v for v, x in enumerate(values) if ring.is_zero(x)]
-    for exps, c in poly.terms.items():
-        if any(exps[v] for v in zeros):
-            continue
-        if ring.char_p is not None:
-            c %= ring.char_p
-            if c == 0:
-                continue
-        term = ring.from_int(c)
-        for v, e in enumerate(exps):
-            if e == 0:
-                continue
-            cache = powers[v]
-            got = cache.get(e)
-            if got is None:
-                got = ring.pow(values[v], e)
-                cache[e] = got
-            term = ring.mul(term, got)
-        acc = ring.add(acc, term)
-    return acc
-
-
-def _binary_op(u, v, polys):
-    if len(u) != len(v):
+def _evaluate(which, u, v=None):
+    """Structure polynomials ``which`` (0 sums, 1 products, 2 negation,
+    3 Frobenius) at the entries of u and v (zeros when v is absent); over an
+    F_p-algebra their reductions mod p."""
+    ring = u.ring
+    sp = structure_polys(_prime_of(ring), len(u))
+    if v is None:
+        v = witt_zero(ring, len(u))
+    elif len(u) != len(v):
         raise LengthMismatch(f"Witt lengths {len(u)} and {len(v)} differ")
-    if u.ring != v.ring:
+    elif ring != v.ring:
         raise LengthMismatch("Witt vectors over different rings")
-    values = list(u.entries) + list(v.entries)
-    return WittVector(u.ring, tuple(_eval_poly(q, u.ring, values) for q in polys))
-
-
-def _select(ring, sp, which):
     if ring.char_p is not None:
-        return sp.reduced_mod_p()[which]
-    return (sp.sums, sp.prods, sp.negs, sp.frobs)[which]
+        polys = sp.reduced_mod_p()[which]
+    else:
+        polys = (sp.sums, sp.prods, sp.negs, sp.frobs)[which]
+    values = u.entries + v.entries
+    return WittVector(ring, tuple(eval_terms(q.terms, values, ring.from_int, 0) for q in polys))
 
 
 def witt_add(u, v):
-    sp = structure_polys(_prime_of(u.ring), len(u))
-    return _binary_op(u, v, _select(u.ring, sp, 0))
+    return _evaluate(0, u, v)
 
 
 def witt_mul(u, v):
-    sp = structure_polys(_prime_of(u.ring), len(u))
-    return _binary_op(u, v, _select(u.ring, sp, 1))
+    return _evaluate(1, u, v)
 
 
 def witt_neg(u):
-    sp = structure_polys(_prime_of(u.ring), len(u))
-    values = list(u.entries) + [u.ring.zero()] * len(u)
-    polys = _select(u.ring, sp, 2)
-    return WittVector(u.ring, tuple(_eval_poly(q, u.ring, values) for q in polys))
+    return _evaluate(2, u)
 
 
 def witt_sub(u, v):
@@ -304,17 +262,7 @@ def frobenius(w):
     ring = w.ring
     if ring.char_p is not None:
         return WittVector(ring, tuple(ring.pth_power(a) for a in w.entries))
-    sp = structure_polys(_prime_of(ring), len(w))
-    values = list(w.entries) + [ring.zero()] * len(w)
-    return WittVector(ring, tuple(_eval_poly(q, ring, values) for q in sp.frobs))
-
-
-def frobenius_shift(w):
-    """The Frobenius operator W_N -> W_{N-1}."""
-    ring = w.ring
-    if ring.char_p is not None:
-        return WittVector(ring, tuple(ring.pth_power(a) for a in w.entries[:-1]))
-    return frobenius(w)
+    return _evaluate(3, w)
 
 
 def p_times(w):

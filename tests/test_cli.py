@@ -297,6 +297,30 @@ def test_large_prime_witt_add_is_refused_quickly():
     assert "p = 4294967291, N = 2" in record["error"]["message"]
 
 
+def test_restriction_sum_past_the_cap_is_refused_quickly():
+    """Stage 2 of this scheme over Eisenstein pi^2 - p sums one substituted
+    equation past the default monomial cap; the sum is checked term by term,
+    so the refusal comes in seconds instead of after gigabytes.  Stage 1,
+    whose largest sum stays under the cap, still answers."""
+    import time
+
+    script = (
+        "base { p = 3; pbasis = [t]; }\n"
+        "ring B = eisenstein(2, E = pi^2 - p);\n"
+        "scheme X over B { vars [x, y]; eqs [ (teich(t) + p*teich(t + 1))"
+        "*(y - x^2 - (teich(t^2 + 2) + p*teich(2*t))*x) ]; }\n"
+        "greenberg X --stage 1;\n"
+        "greenberg X --stage 2;\n"
+    )
+    start = time.monotonic()
+    stage1, stage2 = run_script(script, SessionConfig()).results[-2:]
+    assert time.monotonic() - start < 30.0
+    assert stage1["status"] == "ok" and stage1["equations"] == 24
+    assert stage2["error"] == {
+        "type": "ResourceLimit", "message": "intermediate polynomial exceeded 20000 monomials"
+    }
+
+
 FUZZ_STATEMENTS = [
     "witt add (1,0) (t,1);",
     "witt mul (t,0) (1,t);",

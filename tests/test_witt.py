@@ -115,7 +115,7 @@ def test_vf_identities_random(params2, k2, rng):
         assert W.p_times(u) == W.verschiebung(W.frobenius(u)).truncate(N)
         # F(V(u)) = p u one length shorter
         vu = W.verschiebung(u)
-        assert W.frobenius_shift(vu) == W.p_times(u)
+        assert W.frobenius(vu).truncate(N) == W.p_times(u)
 
 
 def test_frobenius_ghost_compat_over_integers(rng):
@@ -132,7 +132,7 @@ def test_teichmuller(params2, k2):
     t, zero = params2.gen(0), params2.zero()
     T = W.teichmuller(k2, t, 3)
     assert W.witt_mul(T, T).entries == (t * t, zero, zero)
-    assert W.witt_mul(W.witt_one(k2, 3), T) == T
+    assert W.witt_mul(W.teichmuller(k2, params2.one(), 3), T) == T
     assert W.witt_mul(W.witt_zero(k2, 3), T).is_zero()
 
 
