@@ -245,7 +245,8 @@ class BaseAlgebra:
 
 
 class BaseElem:
-    """A vector of e Cohen components (the pi-power coordinates)."""
+    """A vector of e Cohen components (the pi-power coordinates); results
+    of arithmetic keep their model vector and peel when read (`_peel`)."""
 
     __slots__ = ("algebra", "components")
 
@@ -421,10 +422,12 @@ def _componentwise(op, *elems):
 
 
 def _peel(alg, vec):
-    """The BaseElem of a model vector: each component peeled once, only
-    through the positions its quotient keeps."""
+    """The BaseElem of a model vector, peeled when read if every component
+    keeps all m positions, else now, through the positions each keeps."""
     nums, den = vec
     base = alg.base
+    if base.trunc == base.nilpotency:
+        return BaseElem(alg, [cohen.CohenElem.kept(alg.ring, base.m, num, den) for num in nums])
     return BaseElem(alg, [
         cohen.from_model(num, den, alg.ring, base.m, top=base.component_bound(w) - 1)
         for w, num in enumerate(nums)

@@ -267,6 +267,7 @@ class Session:
         self.schemes[decl["name"]] = greenberg.AffinePresentation(
             base, variables, equations
         )
+        self._presentations.pop(decl["name"], None)  # stages of the old equations
 
     def declare_elem(self, decl):
         base_name = decl["ring"] or self._only_ring_name()
@@ -291,15 +292,15 @@ class Session:
         raise TypeMismatch("several rings declared; use 'over <ring>' or --ring")
 
     def presentation(self, scheme_name, stage):
-        key = (scheme_name, stage)
-        if key not in self._presentations:
-            self._presentations[key] = greenberg.greenberg_transform(
-                self.scheme(scheme_name),
-                stage=stage,
-                monomial_cap=self.config.monomial_cap,
-                symbol_cap=self.config.symbol_cap,
-            )
-        return self._presentations[key]
+        """Stage s of a scheme's transform, each stage built once from the
+        one below it, so stage 0 is expanded once per scheme."""
+        stages = self._presentations.setdefault(scheme_name, [])
+        caps = self.config.monomial_cap, self.config.symbol_cap
+        if not stages:
+            stages.append(greenberg.greenberg_transform(self.scheme(scheme_name), 0, *caps))
+        while len(stages) <= stage:
+            stages.append(stages[-1].restricted(*caps))
+        return stages[stage]
 
     def declare(self, kind, decl):
         """Run one declaration; a failure becomes a declare.<kind> error

@@ -47,11 +47,11 @@ multiples of p^{n-j}), and the coordinate is x_j(i) = V_i(T, z) / den^{p^j}.
 Subtracting sum_i T^i * lift(V_i)^{p^{n-j}} clears the residual mod p, the
 numerator is divided by p exactly, and the next position follows; the
 denominator never changes.  Zero is a zero numerator mod p^{n+1}.  A peeled
-element keeps its model for the next operation, and a unit's inverse has a
-closed form (`model_inverse`); `BaseElem` products and inverses in base.py
-run on the same model.  Over a ring with a monomial cap (the Greenberg
-transform's k[z]) the model's products and lift powers raise ResourceLimit
-past it.
+element keeps its model for the next operation; `BaseElem` results in
+base.py keep only their models (`CohenElem.kept`) and peel when read, and
+a unit's inverse has a closed form (`model_inverse`).  Over a ring with a
+monomial cap (the Greenberg transform's k[z]) the model's products and
+lift powers raise ResourceLimit past it.
 
 Etale ambients keep the Witt route (`to_witt`, one Witt structure-polynomial
 evaluation per entry, `extract`); `to_witt` and `extract` also serve the
@@ -77,12 +77,13 @@ class CohenElem:
 
     ``coords`` maps (j, i) to a nonzero ambient element, j the Witt
     position, i a multi-index tuple in [0, p^{n-j}-1]^d.  ``model`` keeps
-    the (num, den) an element over k was peeled from, so the next
-    operation starts from it instead of rebuilding it from the coordinates
-    (whose position-j denominators carry p^j-th powers).
+    the (num, den) an element was peeled from, so the next operation
+    starts from it instead of rebuilding it from the coordinates (whose
+    position-j denominators carry p^j-th powers).  A `kept` element has
+    only its model and is peeled when ``coords`` is first read.
     """
 
-    __slots__ = ("ring", "level", "coords", "model")
+    __slots__ = ("ring", "level", "_coords", "model")
 
     def __init__(self, ring, level, coords):
         self.ring = ring
@@ -99,7 +100,20 @@ class CohenElem:
                 raise LevelMismatch(f"index {i} not allowed at position {j}")
             if not ring.is_zero(x):
                 clean[(j, i)] = x
-        self.coords = clean
+        self._coords = clean
+
+    @classmethod
+    def kept(cls, ring, level, num, den):
+        """The element num / lift(den)^{p^n}, num modulo p^level."""
+        c = cls.__new__(cls)
+        c.ring, c.level, c._coords, c.model = ring, level, None, (num, den)
+        return c
+
+    @property
+    def coords(self):
+        if self._coords is None:
+            self._coords = from_model(*self.model, self.ring, self.level).coords
+        return self._coords
 
     @classmethod
     def zero(cls, ring, level):
@@ -110,7 +124,9 @@ class CohenElem:
         return cls(ring, level, {(j, tuple(i)): x})
 
     def is_zero(self):
-        return not self.coords
+        if self._coords is None:  # zero is a zero numerator mod p^level
+            return self.model[0].is_zero()
+        return not self._coords
 
     def support_min_position(self):
         return min((j for j, _ in self.coords), default=self.level)

@@ -14,13 +14,18 @@ p^d times as many variables.  Stage s of the transform is Res_F applied s
 times to the system (Kato's tower, whose limit is the relatively perfect
 transform): R -> Y(R tensor_{k,F} k), with k-points mapped by
 z = sum_i z_i^p t^i, so points move between stages by digit expansion.
-The public `weil_restrict` computes Res_F(Y^(p)), the restriction of the
-Frobenius twist of its input.
+`GreenbergPresentation.restricted` builds stage s + 1 from stage s on F_p
+numerators.  The public `weil_restrict` computes Res_F(Y^(p)), the
+restriction of the Frobenius twist of its input.
 """
+
+import functools
+import math
+import operator
 
 from . import cohen
 from .base import ArtinianBase
-from .basefield import DigitExpansion, pbasis_expand
+from .basefield import BaseFieldElem, DigitExpansion, pbasis_expand
 from .errors import NotASolution, ResourceLimit, TypeMismatch
 from .polys import SparsePoly, eval_terms
 from .rings import SymbolicRing, format_sym_poly, multi_indices
@@ -84,6 +89,13 @@ class GreenbergPresentation:
             "stage": self.stage,
         }
 
+    def restricted(self, monomial_cap=DEFAULT_MONOMIAL_CAP, symbol_cap=DEFAULT_SYMBOL_CAP):
+        """The next stage: one Weil restriction of this system, Res_F(Y)."""
+        symbols = _refined_symbols(self.params, self.symbols, symbol_cap)
+        equations = _restrict(SymbolicRing(self.params, symbols), self.equations, monomial_cap)
+        return GreenbergPresentation(self.base, self.variables, symbols, equations,
+                                     self.stage + 1, self.layout)
+
     def is_solution(self, values):
         """Whether a full symbol assignment (k-elements) solves every equation."""
         zero = self.params.zero()
@@ -124,16 +136,8 @@ def greenberg_transform(
     ring = SymbolicRing(base.params, symbols, monomial_cap=monomial_cap)
     algebra = base.algebra(ring)
 
-    generic = []
-    for var in X.variables:
-        comps = [dict() for _ in range(base.e)]
-        for idx, w, j, i in layout[var]:
-            comps[w][(j, i)] = ring.variable(symbols[idx])
-        generic.append(
-            algebra.from_components(
-                [cohen.CohenElem(ring, base.m, c) for c in comps]
-            )
-        )
+    values = [ring.variable(s) for s in symbols]
+    generic = [_from_slots(algebra, layout[var], values) for var in X.variables]
 
     equations = []
     for eq_index in range(len(X.equations)):
@@ -142,10 +146,19 @@ def greenberg_transform(
             for w in range(base.e):
                 if j < base.component_bound(w):
                     equations.append(value.components[w].coords.get((j, i), ring.zero()))
+    pres = GreenbergPresentation(base, X.variables, symbols, equations, 0, layout)
     for _ in range(stage):
-        symbols = _refined_symbols(base.params, symbols, symbol_cap)
-        equations = _restrict(SymbolicRing(base.params, symbols), equations, monomial_cap)
-    return GreenbergPresentation(base, X.variables, symbols, equations, stage, layout)
+        pres = pres.restricted(monomial_cap, symbol_cap)
+    return pres
+
+
+def _from_slots(algebra, slots, values):
+    """The element with coordinate values[idx] at each slot (idx, w, j, i)
+    of a variable's layout."""
+    comps = [{} for _ in range(algebra.base.e)]
+    for idx, w, j, i in slots:
+        comps[w][(j, i)] = values[idx]
+    return algebra.from_components([cohen.CohenElem(algebra.ring, algebra.base.m, c) for c in comps])
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +198,7 @@ def coords_to_point(X: AffinePresentation, pres: GreenbergPresentation, coords):
             for v in range(0, len(coords), len(idxs))
         ]
     algebra = X.base.algebra()
-    point = []
-    for var in X.variables:
-        comps = [dict() for _ in range(X.base.e)]
-        for idx, w, j, i in pres.layout[var]:
-            if not coords[idx].is_zero():
-                comps[w][(j, i)] = coords[idx]
-        point.append(
-            algebra.from_components(
-                [cohen.CohenElem(X.base.field_ring, X.base.m, c) for c in comps]
-            )
-        )
+    point = [_from_slots(algebra, pres.layout[var], coords) for var in X.variables]
     for idx, res in enumerate(X.evaluate_all(algebra, point)):
         if not res.is_zero():
             raise NotASolution(f"equation {idx} does not vanish at the rebuilt point")
@@ -238,20 +241,44 @@ def _refined_symbols(params, symbols, symbol_cap):
 def _restrict(ring, equations, monomial_cap):
     """Res_F(Y) in the refined symbols of ``ring``.  Since
     q(sum_i z_i^p t^i) = sum_i Q_i(z)^p t^i, substitute z_v -> sum_i t^i z_{v,i}
-    into q and split every coefficient into its t-digits: digit i is Q_i."""
-    params, n = ring.params, ring.nvars
-    idxs = multi_indices(params.p, params.d)
-    zero, monomials = (0,) * n, [params.monomial(i) for i in idxs]
-    substitution = {
-        v: SparsePoly(ring.domain, n, {zero[:j] + (1,) + zero[j + 1 :]: c
-                                       for j, c in enumerate(monomials, v * len(idxs))})
-        for v in range(n // len(idxs))
-    }
+    into q and split every coefficient into its t-digits: digit i is Q_i.
+    On F_p numerators: (sum_i t^i z_{v,i})^e has terms b t^s z^a, b in F_p,
+    and z^a fixes e, so z^a gets b t^s N / D from one term N / D of q (the
+    cap counts these z^a); as N / D = N D^{p-1} / D^p, digit i of its
+    coefficient is t^{(x - i)/p} over the terms t^x of b t^s N D^{p-1}
+    with x = i mod p, over D."""
+    params = ring.params
+    p, d = params.p, params.d
+    idxs = multi_indices(p, d)
+    size = len(idxs)  # power(e): (z_0 + .. + z_{size-1})^e over F_p
+    block = SparsePoly(params.domain, size, {tuple(int(j == k) for j in range(size)): 1 for k in range(size)})
+    power = functools.cache(lambda e: list(block.pow(e, cap=monomial_cap).terms.items()))
+
+    @functools.cache
+    def factor(exps):  # prod_v (sum_i t^i z_{v,i})^{e_v} as triples (a, b, s)
+        out = [((), 1)]
+        for e in exps:
+            out = [(z + z2, b * b2 % p) for z, b in out for z2, b2 in power(e)]
+        return [(z, b, tuple(sum(a * idxs[j % size][m] for j, a in enumerate(z)) for m in range(d)))
+                for z, b in out]
+
     out = []
     for q in equations:
-        lifted = SparsePoly(ring.domain, n, {e + (0,) * (n - len(e)): c for e, c in q.terms.items()})
-        digits = ring.digits1(lifted.substitute(substitution, cap=monomial_cap))
-        out.extend(digits.get(i, ring.zero()) for i in idxs)
+        digits, dens, count = {}, {}, 0  # digits: i -> z^a -> t-exponents -> F_p
+        for exps, c in q.terms.items():
+            count += math.prod(len(power(e)) for e in exps)
+            if monomial_cap is not None and count > monomial_cap:
+                raise ResourceLimit(f"intermediate polynomial exceeded {monomial_cap} monomials")
+            num = c.num if c.den.is_constant() else c.num * c.den.pow(p - 1)
+            for z, b, s in factor(exps):
+                dens[z] = c.den
+                for y, a in num.terms.items():
+                    x = tuple(map(operator.add, y, s))
+                    part = digits.setdefault(tuple(v % p for v in x), {}).setdefault(z, {})
+                    part[tuple(v // p for v in x)] = a * b % p
+        out += [SparsePoly(ring.domain, ring.nvars, {
+            z: BaseFieldElem(params, SparsePoly(params.domain, d, t), dens[z])
+            for z, t in digits.get(i, {}).items()}) for i in idxs]
     return out
 
 

@@ -218,10 +218,6 @@ class SparsePoly:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
-            if cap is not None and len(terms) > cap:
-                raise ResourceLimit(
-                    f"intermediate polynomial exceeded {cap} monomials"
-                )
         return SparsePoly(dom, self.nvars, terms)
 
     def __mul__(self, other):
@@ -269,7 +265,7 @@ class SparsePoly:
                 terms[e] = v
         return SparsePoly(dom, self.nvars, terms)
 
-    def substitute(self, mapping, cap=None):
+    def substitute(self, mapping):
         """Substitute whole polynomials for variables.
 
         ``mapping`` maps a variable index to a SparsePoly over the same
@@ -284,17 +280,12 @@ class SparsePoly:
                 if e == 0:
                     continue
                 if v in mapping:
-                    key = (v, e)
-                    if key not in power_cache:
-                        power_cache[key] = mapping[v].pow(e, cap=cap)
-                    factor = factor.mul(power_cache[key], cap=cap)
+                    if (v, e) not in power_cache:
+                        power_cache[v, e] = mapping[v].pow(e)
+                    factor = factor * power_cache[v, e]
                 else:
-                    factor = factor.mul(
-                        SparsePoly.variable(dom, self.nvars, v, e), cap=cap
-                    )
+                    factor = factor * SparsePoly.variable(dom, self.nvars, v, e)
             out = out + factor
-            if cap is not None and len(out.terms) > cap:
-                raise ResourceLimit(f"intermediate polynomial exceeded {cap} monomials")
         return out
 
 

@@ -294,3 +294,44 @@ def test_no_base_algebra_over_an_etale_ring(base_unram2, etale_ring):
         base_unram2.algebra(etale_ring)
     # the canonical lifting of an etale ring works over k instead
     assert isinstance(B.canonical_lift(etale_ring, base_unram2), B.LiftedEtale)
+
+
+def test_lazy_peel_agrees_with_an_eager_peel(params3, base_unram2, base_eis_p3, rng):
+    """Seeded chains of mul, add, sub, neg, **, inverse and scale_p.  Over
+    C_2(F_2(t)), C_3(F_3(t)) and Eisenstein pi^2 - p (m = 2) every result
+    keeps its model vector unpeeled, and its zero test, components, ==,
+    hash and CLI JSON agree with an eager peel of the same vector.  On a
+    quotient whose pi^1 component keeps fewer than m positions every result
+    is peeled at once, and equals the full-base result reduced."""
+    from gkit.cli import base_elem_to_json
+    from gkit.sampling import rand_base_elem
+
+    def eager(x):
+        return B.BaseElem(x.algebra, [C.from_model(*c.model, c.ring, c.level) for c in x.components])
+
+    def chain(x, y):
+        u = x.scale_p(1) + x.algebra.teich(rand_nonzero_field_elem(rng, x.base.params, 1))
+        steps = [x * y, x + y, x - y, -x, x**3, u.inverse(), y.scale_p(1), x - x, x * y - y * x]
+        steps.append(((steps[0] + steps[4]) * steps[5] - steps[3]) ** 2)
+        return steps
+
+    for base in (base_unram2, B.make_unramified(params3, 3), base_eis_p3):
+        for _ in range(3):
+            x, y = (rand_base_elem(rng, base, max_deg=1) for _ in range(2))
+            for r in chain(x, y):
+                assert all(c._coords is None for c in r.components)
+                want = eager(r)
+                assert r.is_zero() == want.is_zero()
+                assert base_elem_to_json(r) == base_elem_to_json(want)
+                assert r.components == want.components
+                assert r == want and hash(r) == hash(want)
+    quotient = base_eis_p3.quotient(3)
+    assert quotient.component_bound(1) < quotient.m
+    for _ in range(3):
+        x, y = (rand_base_elem(rng, base_eis_p3, max_deg=1) for _ in range(2))
+        rng_state = rng.getstate()
+        full = chain(x, y)
+        rng.setstate(rng_state)
+        for r, f in zip(chain(x.reduce_mod(3), y.reduce_mod(3)), full):
+            assert all(c._coords is not None for c in r.components)
+            assert r == f.reduce_mod(3)

@@ -321,6 +321,62 @@ def test_restriction_sum_past_the_cap_is_refused_quickly():
     }
 
 
+def test_stages_build_on_the_stage_below(monkeypatch):
+    """greenberg at stage 1, then 2, then push and pull at stage 2, expands
+    stage 0 once; every record equals the one of a transform built from
+    scratch, and a stage past the symbol cap fails with the record such a
+    transform raises."""
+    from gkit import greenberg
+    from gkit.cli import base_elem_to_json
+    from gkit.errors import ResourceLimit
+
+    scratch, expansions = greenberg.greenberg_transform, []
+
+    def counted(X, stage=0, *caps):
+        expansions.append(stage)
+        return scratch(X, stage, *caps)
+
+    monkeypatch.setattr(greenberg, "greenberg_transform", counted)
+    coords = ", ".join(["1/(t + 1)"] * 8 + ["0"] * 4)
+    script = (
+        "base { p = 2; pbasis = [t]; }\n"
+        "ring A = unramified(2);\n"
+        "scheme X over A { vars [x]; eqs [ teich(t + 1)*(x^2 - teich(1/(t + 1))^2) ]; }\n"
+        "greenberg X --stage 1;\n"
+        "greenberg X --stage 2;\n"
+        "point push X (teich(1/(t + 1))) --stage 2;\n"
+        f"point pull X ({coords}) --stage 2;\n"
+        "greenberg X --stage 3;\n"
+    )
+    session = run_script(script, SessionConfig(symbol_cap=12))
+    assert expansions == [0]
+    X = session.scheme("X")
+    stage1, stage2, push, pull, stage3 = session.results
+    for record, stage in ((stage1, 1), (stage2, 2)):
+        assert record["presentation"] == scratch(X, stage, symbol_cap=12).to_json()
+    assert push["coords"] == coords.split(", ")
+    t, one = session.params.gen(0), session.params.one()
+    assert pull["point"] == [base_elem_to_json(X.base.algebra().teich((t + one).inverse()))]
+    with pytest.raises(ResourceLimit) as refused:
+        scratch(X, 3, symbol_cap=12)
+    assert stage3 == {"cmd": "greenberg", "status": "error", "error": refused.value.payload()}
+    assert refused.value.payload()["message"] == "24 symbols exceed the cap 12"
+
+
+def test_redeclared_scheme_drops_its_stages():
+    session = run_script(
+        "base { p = 2; pbasis = [t]; }\n"
+        "ring A = unramified(2);\n"
+        "scheme X over A { vars [x]; eqs [ x - teich(t) ]; }\n"
+        "greenberg X --stage 1;\n"
+        "scheme X over A { vars [x]; eqs [ x - 1 ]; }\n"
+        "point push X (1) --stage 1;\n",
+        SessionConfig(),
+    )
+    assert session.results[-1] == {
+        "cmd": "point.push", "coords": ["1", "0", "0", "0", "0", "0"], "stage": 1, "status": "ok"}
+
+
 FUZZ_STATEMENTS = [
     "witt add (1,0) (t,1);",
     "witt mul (t,0) (1,t);",
@@ -397,6 +453,10 @@ def test_inserted_characters_cost_one_record():
             "greenberg X --stage 0;",
             "point push X (teich(t));",
             "point pull X (0, 1, 0);" if p == 2 else "point pull X (0, 1, 0, 0);",
+            "ring R = eisenstein(2, E = pi^2 - p);",
+            "scheme Y over R { vars [x]; eqs [ teich(t + 1)*(x - teich(t) - pi) ]; }",
+            "greenberg Y --stage 1;",
+            "point push Y (teich(t) + pi) --stage 1;",
         ]
         text = "\n".join(lines)
         pos = rng.randrange(len(text))

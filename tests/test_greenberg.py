@@ -428,3 +428,81 @@ def test_monomial_cap_bounds_the_model(params2):
     assert G.greenberg_transform(X).equation_strings() == want
     with pytest.raises(ResourceLimit, match="exceeded 40 monomials"):
         G.greenberg_transform(X, monomial_cap=40)
+
+
+def _substitution_restrict(params, symbols, equations):
+    """The restriction route of reference: substitute z_v -> sum_i t^i z_{v,i}
+    over k with `SparsePoly.substitute`, then split every coefficient into
+    its t-digits with `SymbolicRing.digits1`."""
+    from gkit.polys import SparsePoly
+
+    new_symbols, _, _ = G.weil_restrict(params, symbols, [])
+    ring = SymbolicRing(params, new_symbols)
+    idxs = multi_indices(params.p, params.d)
+    n, size = ring.nvars, len(idxs)
+    unit = lambda j: tuple(int(k == j) for k in range(n))
+    substitution = {
+        v: SparsePoly(ring.domain, n, {unit(v * size + k): params.monomial(i) for k, i in enumerate(idxs)})
+        for v in range(len(symbols))
+    }
+    out = []
+    for q in equations:
+        lifted = SparsePoly(ring.domain, n, {e + (0,) * (n - len(e)): c for e, c in q.terms.items()})
+        digits = ring.digits1(lifted.substitute(substitution))
+        out.extend(digits.get(i, ring.zero()) for i in idxs)
+    return new_symbols, out
+
+
+def test_restriction_matches_the_substitution_route(params2, params3, params22, base_eis_p3, rng):
+    """Stages 1 and 2 over C_2 and stage 1 over Eisenstein pi^2 - p, on
+    schemes whose coefficients have denominators (teich(1/(t+1)),
+    t1/(t2+1)), equal the stage below restricted by the reference route;
+    so does `weil_restrict` on seeded fractional systems, twisted first,
+    also at p = 3, d = 2."""
+    from gkit import cohen as C
+    from gkit.basefield import PrimeParams
+    from gkit.rings import FieldRing
+
+    params32 = PrimeParams(3, 2, ["t1", "t2"])
+    k22 = FieldRing(params22)
+    eis22 = B.make_eisenstein(
+        params22, 2, [C.cohen_neg(C.cohen_from_int(k22, 2, 2)), C.CohenElem.zero(k22, 2)])
+    cases = [(B.make_unramified(params, 2), 2) for params in (params2, params3, params22)]
+    cases += [(base_eis_p3, 1), (eis22, 1)]
+    for base, top in cases:
+        params, alg = base.params, base.algebra()
+        t1, one = params.gen(0), params.one()
+        frac = t1 * (params.gen(params.d - 1) + one).inverse()
+        c = alg.teich((t1 + one).inverse()) + alg.p() * alg.teich(frac)
+        X = G.AffinePresentation(base, ["x"], [{(1,): c, (0,): -(c * rand_base_elem(rng, base))}])
+        below = G.greenberg_transform(X, stage=0)
+        for stage in range(1, top + 1):
+            pres = G.greenberg_transform(X, stage=stage)
+            assert (list(pres.symbols), pres.equations) == _substitution_restrict(
+                params, list(below.symbols), below.equations)
+            below = pres
+    for params in (params2, params3, params22, params32):
+        ring = SymbolicRing(params, ["u", "v"])
+        u, v = ring.variable("u"), ring.variable("v")
+        for _ in range(3):
+            c1, c2, c3 = (ring.scalar(rand_field_elem(rng, params)) for _ in range(3))
+            frac = ring.scalar(params.gen(0) * (params.gen(params.d - 1) + params.one()).inverse())
+            eqs = [c1 * u * u * v + frac * v + c2, c3 * u + frac]
+            twisted = [ring.twist(q, 1) for q in eqs]
+            symbols, equations, _ = G.weil_restrict(params, ["u", "v"], eqs)
+            assert (symbols, equations) == _substitution_restrict(params, ["u", "v"], twisted)
+
+
+def test_restriction_cap_counts_monomials_in_the_new_symbols(params2):
+    """A coefficient with ten t-terms restricts to 20 terms in (t, z) but to
+    two monomials in z_0, z_1; the cap counts the latter, summed over the
+    terms of the equation."""
+    ring = SymbolicRing(params2, ["z"])
+    z, t = ring.variable("z"), params2.gen(0)
+    wide = ring.scalar(sum((t**i for i in range(10)), params2.zero()))
+    assert len(G.weil_restrict(params2, ["z"], [wide * z], monomial_cap=2)[1]) == 2
+    with pytest.raises(ResourceLimit, match="exceeded 1 monomials"):
+        G.weil_restrict(params2, ["z"], [wide * z], monomial_cap=1)
+    G.weil_restrict(params2, ["z"], [wide * z * z + z + wide], monomial_cap=5)
+    with pytest.raises(ResourceLimit, match="exceeded 4 monomials"):
+        G.weil_restrict(params2, ["z"], [wide * z * z + z + wide], monomial_cap=4)
