@@ -10,15 +10,21 @@ on: p-th roots, Cohen-ring extraction, and the splitting of the additive
 group along Frobenius all reduce to it.  All arithmetic is exact; equality
 of values coincides with equality of representations.
 
-On an etale extension, digit expansion, inverses and the separability
-check are all linear solves over k (`linalg.row_reduce`).
+Over k the digits of num/den split the exponents of num * den^(p-1) mod p.
+An etale Q = k[y]/(g) is relatively perfect over k: its relative Frobenius
+Q tensor_{k,F} k -> Q is an isomorphism, so the powers y^(pj) form a
+k-basis of Q, and the digits of x are the k-digits of its coordinates in
+that basis, read through the inverse of the Frobenius matrix.  Over k and
+over Q a p-th root is digit 0 when every other digit vanishes.  Etale
+inverses and the separability check are linear solves over k
+(`linalg.row_reduce`).
 """
 
 import itertools
 
 from . import linalg
 from .errors import DivisionByZero, InternalError, NotAPthPower, NotAUnit, TypeMismatch
-from .polys import FpDomain, SparsePoly, exact_div, format_sym_poly, poly_gcd, poly_pth_root
+from .polys import FpDomain, SparsePoly, exact_div, format_sym_poly, poly_gcd
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981  # first composite passing all bases
@@ -112,6 +118,18 @@ class PrimeParams:
     def digit_indices(self):
         """All multi-indices in [0, p-1]^d, lexicographically."""
         return list(itertools.product(range(self.p), repeat=self.d))
+
+
+def _root_from_digits(x):
+    """The g with g^p = x: digit 0 when every other digit vanishes;
+    raises NotAPthPower otherwise."""
+    zero_idx = (0,) * x.params.d
+    dig = x.digits()
+    for i, v in dig.items():
+        if i != zero_idx and not v.is_zero():
+            raise NotAPthPower(f"digit at index {i} is nonzero")
+    # k-digits leave zero digits out, so a missing digit 0 means x = 0
+    return dig.get(zero_idx, x)
 
 
 class BaseFieldElem:
@@ -221,11 +239,7 @@ class BaseFieldElem:
         q = self.params.p**iterations
         return _lowest_terms(self.params, self.num.pow(q), self.den.pow(q))
 
-    def pth_root(self):
-        """The g with g^p = self; raises NotAPthPower otherwise."""
-        p = self.params.p
-        num = self.num.mul(self.den.pow(p - 1))
-        return BaseFieldElem(self.params, poly_pth_root(num, p), self.den)
+    pth_root = _root_from_digits
 
     def digits(self):
         """The unique map i -> f_i with self = sum f_i^p t^i, sparse: the
@@ -301,10 +315,11 @@ class EtaleAlgebra:
     Elements are coordinate vectors in the power basis {1, y, .., y^(deg-1)}.
     An element is a unit iff its multiplication matrix is invertible, and g
     is separable iff g' is a unit of Q; both are checked by solving that
-    matrix against the coordinates of 1.  Etale extensions are
-    relatively perfect over k, so digit expansion stays available: it is
-    computed by solving the semilinear system attached to the Frobenius
-    matrix on the power basis.
+    matrix against the coordinates of 1.  Q is relatively perfect over k
+    (its relative Frobenius Q tensor_{k,F} k -> Q is an isomorphism), so
+    the powers y^(pj) form a k-basis of Q and the Frobenius matrix is
+    invertible; digits are read through its inverse (`digit_matrix`),
+    computed once per algebra.
     """
 
     def __init__(self, params, coeffs, name="y"):
@@ -359,30 +374,22 @@ class EtaleAlgebra:
         return self._frob
 
     def digit_matrix(self):
-        """The k-linear system expressing digit expansion on Q.
-
-        Unknowns are c[(i, j)] (digit index i, power-basis slot j), ordered
-        by digit_indices then j; row ((m, kappa)) says: the kappa-digit of
-        the m-th coordinate of sum c[(i,j)]^p * Frob(y^j) * t^i matches.
-        """
+        """The inverse of the Frobenius matrix F: row j applied to the
+        coordinates of x gives the b_j with x = sum_j b_j y^(pj).  F is
+        invertible because Q is relatively perfect over k; one row
+        reduction of [F | I] finds its inverse, and a singular F raises
+        InternalError."""
         if self._digit_matrix is None:
-            idxs = self.params.digit_indices()
-            zero = self.params.zero()
+            deg, zero, one = self.deg, self.params.zero(), self.params.one()
             frob = self.frobenius_matrix()
-            cols = []
-            for i in idxs:
-                ti = self.params.monomial(i)
-                for j in range(self.deg):
-                    col = []
-                    for m in range(self.deg):
-                        entry = frob[j][m] * ti
-                        dig = entry.digits()
-                        for kappa in idxs:
-                            col.append(dig.get(kappa, zero))
-                    cols.append(col)
-            self._digit_matrix = [
-                [cols[c][r] for c in range(len(cols))] for r in range(len(cols))
+            augmented = [
+                [col[m] for col in frob] + [one if c == m else zero for c in range(deg)]
+                for m in range(deg)
             ]
+            rows, pivots = linalg.row_reduce(augmented, zero)
+            if pivots != list(range(deg)):
+                raise InternalError("singular linear system")
+            self._digit_matrix = [row[deg:] for row in rows]
         return self._digit_matrix
 
     def __eq__(self, other):
@@ -440,9 +447,6 @@ class EtaleElem:
                 base = base * base
         return out
 
-    def scale_int(self, n):
-        return EtaleElem(self.algebra, tuple(c.scale_int(n) for c in self.coords))
-
     def inverse(self):
         """The solve of (multiplication by self) v = 1; NotAUnit when the
         multiplication matrix is singular (self shares a factor with g)."""
@@ -483,37 +487,21 @@ class EtaleElem:
         return out
 
     def digits(self):
-        """Digit expansion in Q: the semilinear solve on the power basis."""
-        params = self.params
-        idxs = params.digit_indices()
-        matrix = self.algebra.digit_matrix()
-        rhs = []
-        for m in range(self.algebra.deg):
-            dig = self.coords[m].digits()
-            for kappa in idxs:
-                rhs.append(dig.get(kappa, params.zero()))
-        n = len(matrix)
-        rows, pivots = linalg.row_reduce(
-            [row + [b] for row, b in zip(matrix, rhs)], params.zero()
-        )
-        if pivots != list(range(n)):
-            raise InternalError("singular linear system")
-        sol = [row[n] for row in rows]
-        out = {}
-        pos = 0
-        for i in idxs:
-            coords = tuple(sol[pos : pos + self.algebra.deg])
-            pos += self.algebra.deg
-            out[i] = EtaleElem(self.algebra, coords)
-        return out
+        """The digits of self, densely over all digit indices.  Q is
+        relatively perfect, so self = sum_j b_j y^(pj) with b the inverse
+        Frobenius matrix times the coordinates; digit i is
+        sum_j b_{j,i} y^j, where b_{j,i} is the i-th k-digit of b_j."""
+        zero = self.params.zero()
+        b_digits = [
+            sum((a * c for a, c in zip(row, self.coords)), zero).digits()
+            for row in self.algebra.digit_matrix()
+        ]
+        return {
+            i: EtaleElem(self.algebra, tuple(dig.get(i, zero) for dig in b_digits))
+            for i in self.params.digit_indices()
+        }
 
-    def pth_root(self):
-        dig = self.digits()
-        zero_idx = (0,) * self.params.d
-        for i, v in dig.items():
-            if i != zero_idx and not v.is_zero():
-                raise NotAPthPower(f"digit at index {i} is nonzero")
-        return dig[zero_idx]
+    pth_root = _root_from_digits
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)

@@ -55,9 +55,12 @@ class SessionConfig:
             if not raw:
                 return None
             try:
-                return int(raw)
+                value = int(raw)
             except ValueError:
                 raise TypeMismatch(f"{name}={raw!r} is not an integer") from None
+            if value < 1:
+                raise TypeMismatch(f"{name}={raw!r} must be >= 1")
+            return value
 
         return cls(jobs, seed, stage, cap("GKIT_MONOMIAL_CAP"), cap("GKIT_SYMBOL_CAP"))
 

@@ -1,9 +1,9 @@
 """Exact Gaussian elimination over a field given by element objects.
 
 Elements must support +, -, *, ==, and .inverse(); the zero element is
-passed explicitly.  Etale algebras row-reduce augmented matrices for their
-semilinear digit solves, their inverses and their separability check; the
-Greenberg kernel report takes the nullity of a linearized system.
+passed explicitly.  Etale algebras row-reduce augmented matrices to invert
+their Frobenius matrix, for their inverses and for their separability
+check; the Greenberg kernel report takes the nullity of a linearized system.
 """
 
 

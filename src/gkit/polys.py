@@ -19,7 +19,7 @@ then the exponent tuple.
 
 import operator
 
-from .errors import InternalError, NotAPthPower, ResourceLimit
+from .errors import InternalError, ResourceLimit
 
 
 class ZmodDomain:
@@ -635,13 +635,3 @@ def poly_gcd(f, g):
         # nonzero remainder free of v: the primitive parts are coprime
         head = SparsePoly.constant(f.domain, f.nvars, f.domain.one)
     return monic(poly_gcd(cf, cg) * head)
-
-
-def poly_pth_root(f, p):
-    """p-th root of a polynomial over F_p (F_p coefficients are fixed points)."""
-    terms = {}
-    for exps, c in f.terms.items():
-        if any(e % p for e in exps):
-            raise NotAPthPower(f"monomial {exps} has exponent not divisible by {p}")
-        terms[tuple(e // p for e in exps)] = c
-    return SparsePoly(f.domain, f.nvars, terms)

@@ -192,6 +192,8 @@ def witt_zero(ring, N):
 
 def teichmuller(ring, x, N):
     """The multiplicative representative (x, 0, .., 0)."""
+    if N < 1:
+        raise LengthMismatch(f"Teichmuller length {N} is below 1")
     return WittVector(ring, (x,) + (ring.zero(),) * (N - 1))
 
 

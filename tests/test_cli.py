@@ -102,6 +102,12 @@ def test_witt_commands():
     assert results[6] == 6  # 2^2 + 2*1
 
 
+def test_teich_length_below_one_is_a_record():
+    session = run_script("base { p = 2; pbasis = [t]; }\nwitt teich t --len 0;", SessionConfig())
+    assert session.failed
+    assert [r["error"]["type"] for r in session.results] == ["LengthMismatch"]
+
+
 def test_cohen_commands_and_error_exit(tmp_path):
     path = tmp_path / "cohen.gk"
     path.write_text(
@@ -225,8 +231,10 @@ def test_env_caps(tmp_path, monkeypatch):
         (["--jobs", "0"], {}, "--jobs"),
         (["--stage", "-1"], {}, "--stage"),
         ([], {"GKIT_MONOMIAL_CAP": "abc"}, "GKIT_MONOMIAL_CAP='abc'"),
+        ([], {"GKIT_MONOMIAL_CAP": "0"}, "GKIT_MONOMIAL_CAP='0'"),
+        ([], {"GKIT_SYMBOL_CAP": "-1"}, "GKIT_SYMBOL_CAP='-1'"),
     ],
-    ids=["jobs-zero", "stage-negative", "cap-not-an-integer"],
+    ids=["jobs-zero", "stage-negative", "cap-not-an-integer", "cap-zero", "symbol-cap-negative"],
 )
 def test_config_errors_are_records(tmp_path, flags, env_extra, needle):
     path = tmp_path / "demo.gk"
