@@ -28,7 +28,7 @@ from .errors import (
     TypeMismatch,
     UnsupportedAlgebra,
 )
-from .polys import SparsePoly
+from .polys import SparsePoly, lift_power, shift
 from .rings import EtaleRing, FieldRing, SymbolicRing
 
 
@@ -291,7 +291,7 @@ class BaseElem:
 
     def scale_p(self, s=1):
         """Multiply by p^s (componentwise on the pi-basis)."""
-        return _componentwise(lambda x: cohen.shift(x, (), self.base.params.p**s), self)
+        return _componentwise(lambda x: shift(x, (), self.base.params.p**s), self)
 
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
@@ -345,7 +345,7 @@ class BaseElem:
             z = ([zero] + [x * inv_num for x in nums[1:]], den * inv_den)
             for _ in range(base.trunc - 1):
                 zy, zy_den = _model_product(alg, z, y)
-                one = cohen.lift_power(zy_den, dom, base.params.p ** (base.m - 1))
+                one = lift_power(zy_den, dom, base.params.p ** (base.m - 1))
                 y = ([one - zy[0]] + [-x for x in zy[1:]], zy_den)
         x = _peel(alg, ([c * inv_num for c in y[0]], y[1] * inv_den))
         if not (self * x - alg.one()).is_zero():
@@ -397,7 +397,7 @@ def _model_product(alg, x, y):
     if e > 1:
         ecoeffs, e_den = alg.ecoeff_models()
         if not e_den.is_constant():
-            scale = cohen.lift_power(
+            scale = lift_power(
                 e_den, zero.domain, base.params.p ** (base.m - 1), zero.nvars, cap
             )
     for deg in range(2 * e - 2, e - 1, -1):

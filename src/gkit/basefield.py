@@ -24,7 +24,7 @@ import itertools
 
 from . import linalg
 from .errors import DivisionByZero, InternalError, NotAPthPower, NotAUnit, TypeMismatch
-from .polys import FpDomain, SparsePoly, exact_div, format_sym_poly, poly_gcd
+from .polys import FpDomain, SparsePoly, exact_div, format_sym_poly, poly_frobenius, poly_gcd
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981  # first composite passing all bases
@@ -237,7 +237,8 @@ class BaseFieldElem:
 
     def pth_power(self, iterations=1):
         q = self.params.p**iterations
-        return _lowest_terms(self.params, self.num.pow(q), self.den.pow(q))
+        num, den = poly_frobenius(self.num, q), poly_frobenius(self.den, q)
+        return BaseFieldElem(self.params, num, den, normalize=False)
 
     pth_root = _root_from_digits
 

@@ -53,9 +53,11 @@ a unit's inverse has a closed form (`model_inverse`).  Over a ring with a
 monomial cap (the Greenberg transform's k[z]) the model's products and
 lift powers raise ResourceLimit past it.
 
-Etale ambients keep the Witt route (`to_witt`, one Witt structure-polynomial
-evaluation per entry, `extract`); `to_witt` and `extract` also serve the
-witt/cohen commands and the tests as the oracle for the model.
+Etale ambients keep the Witt route (`to_witt`, one Witt op per slot or
+operand, `extract`), on the structure polynomials; `to_witt` and `extract`
+also serve the witt/cohen commands and the tests as the oracle for the
+model, and over k their Witt ops (one `witt_sum` per `to_witt`) run on the
+ghost engine of witt.py.
 """
 
 from .basefield import BaseFieldElem
@@ -67,9 +69,28 @@ from .errors import (
     NotInImage,
     TypeMismatch,
 )
-from .polys import SparsePoly, ZmodDomain, exact_div, poly_gcd
+from .polys import (
+    SparsePoly,
+    ZmodDomain,
+    div_p,
+    exact_div,
+    lift_power,
+    poly_gcd,
+    poly_lcm,
+    reduce_coeffs,
+    shift,
+)
 from .rings import FieldRing, SymbolicRing, multi_indices
-from .witt import WittVector, p_times, witt_add, witt_mul, witt_neg, witt_sub
+from .witt import (
+    WittVector,
+    p_times,
+    witt_add,
+    witt_mul,
+    witt_neg,
+    witt_sub,
+    witt_sum,
+    witt_zero,
+)
 
 
 class CohenElem:
@@ -174,10 +195,8 @@ def _single_vector(ring, level, j, i, x):
 
 def to_witt(c: CohenElem) -> WittVector:
     """Witt-sum of the single-slot vectors of the canonical form."""
-    acc = WittVector(c.ring, (c.ring.zero(),) * c.level)
-    for (j, i), x in c.sorted_coords():
-        acc = witt_add(acc, _single_vector(c.ring, c.level, j, i, x))
-    return acc
+    singles = [_single_vector(c.ring, c.level, j, i, x) for (j, i), x in c.sorted_coords()]
+    return witt_sum([witt_zero(c.ring, c.level)] + singles)
 
 
 def extract(w: WittVector, max_position=None) -> CohenElem:
@@ -230,45 +249,6 @@ def uses_model(ring):
     return isinstance(ring, (FieldRing, SymbolicRing))
 
 
-def lift_power(poly, dom, e, nvars=None, cap=None):
-    """An F_p polynomial read coefficientwise over ``dom`` in ``nvars``
-    variables (the trailing ones, the symbols, absent), to the e-th power."""
-    pad = (0,) * ((nvars or poly.nvars) - poly.nvars)
-    terms = {x + pad: c for x, c in poly.terms.items()} if pad else poly.terms
-    return SparsePoly(dom, poly.nvars + len(pad), terms).pow(e, cap=cap)
-
-
-def shift(poly, i, scale):
-    """scale * T^i * poly, i padded with zeros (i = () only scales)."""
-    q = poly.domain.q
-    i = tuple(i) + (0,) * (poly.nvars - len(i))
-    terms = {}
-    for e, c in poly.terms.items():
-        c = c * scale % q
-        if c:
-            terms[tuple(a + b for a, b in zip(e, i))] = c
-    return SparsePoly(poly.domain, poly.nvars, terms)
-
-
-def _reduce(poly, dom):
-    """poly with its coefficients reduced into ``dom`` (Z/q, q dividing
-    the modulus of poly)."""
-    terms = {}
-    for e, c in poly.terms.items():
-        c %= dom.q
-        if c:
-            terms[e] = c
-    return SparsePoly(dom, poly.nvars, terms)
-
-
-def _lcm(polys, one):
-    out = one
-    for b in set(polys):
-        if not b.is_constant():
-            out = out * exact_div(b, poly_gcd(out, b))
-    return out
-
-
 def _k_terms(ring, x):
     """An ambient element as (symbol exponents, k-coefficient) pairs."""
     return x.terms.items() if isinstance(ring, SymbolicRing) else (((), x),)
@@ -292,7 +272,7 @@ def to_models(elems):
     dens = [c.model[1] for c in elems if c.model is not None]
     dens += [a.den for c in elems if c.model is None
              for x in c.coords.values() for _, a in _k_terms(ring, x)]
-    den = _lcm(dens, one)
+    den = poly_lcm(dens, one)
     den_powers = [one]  # den^(p^j - 1)
     for _ in range(n):
         den_powers.append(den_powers[-1].pow(p) * den.pow(p - 1))
@@ -327,20 +307,10 @@ def model_inverse(num, den, ring, level):
     leading coefficient 1."""
     p, e = ring.char_p, ring.char_p ** (level - 1)
     dom = num.domain
-    new_den = _reduce(num, ring.params.domain)
+    new_den = reduce_coeffs(num, ring.params.domain)
     inv_lc = ring.params.domain.inv(new_den.leading()[1])
     new_num = lift_power(den, dom, e) * num.pow(e - 1)
     return shift(new_num, (), pow(inv_lc, e, dom.q)), new_den.scale(inv_lc)
-
-
-def _div_p(poly, p, message):
-    q = poly.domain.q // p
-    terms = {}
-    for e, c in poly.terms.items():
-        if c % p:
-            raise InternalError(message)
-        terms[e] = c // p
-    return SparsePoly(ZmodDomain(q), poly.nvars, terms)
 
 
 def _coordinate(ring, v, den):
@@ -394,7 +364,7 @@ def from_model(num, den, ring, level, top=None):
                 lift = lift_power(v, num.domain, q, cap=ring.monomial_cap)
                 cleared = cleared - shift(lift, m, 1)
         if j < top:
-            num = _div_p(cleared, p, "digit extraction did not clear its position")
+            num = div_p(cleared, p, "digit extraction did not clear its position")
             den_j = den_j.pow(p)
     c = CohenElem(ring, level, coords)
     if complete:
@@ -516,7 +486,7 @@ def solve_p_division(target: CohenElem, exponent) -> CohenElem:
         (num,), den = to_models([target])
         quot = num
         for _ in range(e):
-            quot = _div_p(quot, ring.char_p, "p-division of a numerator not divisible by p")
+            quot = div_p(quot, ring.char_p, "p-division of a numerator not divisible by p")
         try:
             c = from_model(quot, den, ring, level, top=n - e)
         except NotInCohen as exc:
@@ -585,7 +555,7 @@ def truncate_level(c: CohenElem, target_level) -> CohenElem:
         (num,), den = to_models([c])
         p, d = c.ring.char_p, c.ring.params.d
         s = p ** (c.level - target_level)
-        low = _reduce(num, ZmodDomain(p**target_level))
+        low = reduce_coeffs(num, ZmodDomain(p**target_level))
         if low.nvars > d:
             if any(a % s for e in low.terms for a in e[d:]):
                 raise InternalError(f"symbol exponents are not multiples of {s}")

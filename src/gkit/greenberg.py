@@ -20,6 +20,7 @@ restriction of the Frobenius twist of its input.
 """
 
 import functools
+import itertools
 import math
 import operator
 
@@ -27,7 +28,7 @@ from . import cohen
 from .base import ArtinianBase
 from .basefield import BaseFieldElem, DigitExpansion, pbasis_expand
 from .errors import NotASolution, ResourceLimit, TypeMismatch
-from .polys import SparsePoly, eval_terms
+from .polys import SparsePoly, eval_terms, exact_div, poly_lcm
 from .rings import SymbolicRing, format_sym_poly, multi_indices
 
 DEFAULT_MONOMIAL_CAP = 20_000
@@ -97,12 +98,44 @@ class GreenbergPresentation:
                                      self.stage + 1, self.layout)
 
     def is_solution(self, values):
-        """Whether a full symbol assignment (k-elements) solves every equation."""
-        zero = self.params.zero()
-        return all(
-            eval_terms(q.terms, values, lambda c: c, zero).is_zero()
-            for q in self.equations
-        )
+        """Whether a full symbol assignment (k-elements) solves every
+        equation, tested on cleared numerators in F_p[t].  Write each value
+        as a_v / B over the lcm B of the values' denominators; an equation
+        sum_e (n_e / d_e) z^e of degree deg, with L the lcm of its d_e,
+        vanishes iff sum_e (L / d_e) n_e prod_v a_v^{e_v} B^{deg - |e|}
+        does.  Terms are summed per denominator d_e before the cofactor
+        L / d_e is applied, and a term with a positive exponent on a zero
+        value is skipped."""
+        one = self.params._one_poly()
+        B = poly_lcm([x.den for x in values], one)
+        bases = [x.num if x.den == B else x.num * exact_div(B, x.den) for x in values] + [B]
+        powers = {}
+
+        def power(v, e):  # bases[v]^e, B being the last base
+            if (v, e) not in powers:
+                powers[v, e] = bases[v].pow(e)
+            return powers[v, e]
+
+        for q in self.equations:
+            terms = []
+            for exps, c in q.terms.items():
+                support = list(itertools.compress(range(len(exps)), exps))
+                if all(bases[v].terms for v in support):
+                    terms.append((support, exps, sum(exps), c))
+            deg = max((size for _, _, size, _ in terms), default=0)
+            groups = {}
+            for support, exps, size, c in terms:
+                term = c.num * power(-1, deg - size)
+                for v in support:
+                    term = term * power(v, exps[v])
+                groups[c.den] = groups[c.den] + term if c.den in groups else term
+            L = poly_lcm(groups, one)
+            total = SparsePoly.zero(one.domain, one.nvars)
+            for d, part in groups.items():
+                total = total + (part if d == L else part * exact_div(L, d))
+            if not total.is_zero():
+                return False
+        return True
 
 
 def _slot_symbols(base, variables, symbol_cap):

@@ -4,7 +4,8 @@ A polynomial is a dict mapping exponent tuples (one entry per variable) to
 nonzero coefficients.  The same core drives four instantiations:
 
 * ``FpDomain`` -- coefficients in the prime field F_p (ints in [0, p)),
-* ``ZmodDomain`` -- coefficients in Z/p^k (the Cohen-ring model over k),
+* ``ZmodDomain`` -- coefficients in Z/p^k (the Cohen-ring model over k and
+  the ghost components of Witt vectors over k),
 * ``IntDomain`` -- integer coefficients (universal Witt structure polynomials),
 * ``ElemDomain`` -- coefficients given by Python objects with arithmetic
   dunders (rational function fields, etale algebras, and the base rings
@@ -17,7 +18,10 @@ Monomial order is graded lexicographic throughout: compare total degree,
 then the exponent tuple.
 """
 
+import heapq
 import operator
+import sys
+from array import array
 
 from .errors import InternalError, ResourceLimit
 
@@ -128,6 +132,12 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
+def _grlex_desc(exps):
+    """A heap item that orders exponent tuples by decreasing graded-lex
+    key; the tuple itself rides along."""
+    return (-sum(exps), tuple(-a for a in exps), exps)
+
+
 class SparsePoly:
     __slots__ = ("domain", "nvars", "terms")
 
@@ -156,7 +166,8 @@ class SparsePoly:
         return not self.terms
 
     def is_constant(self):
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and (0,) * self.nvars in terms)
 
     def constant_value(self):
         return self.terms.get((0,) * self.nvars, self.domain.zero)
@@ -419,41 +430,47 @@ def _dense_trim(a):
     return a
 
 
+# array typecodes by slot width in bytes; the sizes are the C types' on
+# every platform CPython supports, asserted here rather than assumed
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+assert all(array(c).itemsize == w for w, c in _SLOT_CODES.items())
+
+
 def _dense_mul(a, b, q):
     """Univariate product via Kronecker substitution: pack coefficients
     into one big integer each, multiply once, unpack mod q (prime or not).
     A slot holds the largest coefficient sum, (q-1)^2 times the shorter
-    length."""
+    length.  Slots of at most 8 bytes are rounded up to a machine word
+    and packed through an array; wider slots go coefficient by
+    coefficient."""
     w = (((q - 1) ** 2 * min(len(a), len(b))).bit_length() + 7) // 8
-    pa = int.from_bytes(
-        b"".join(c.to_bytes(w, "little") for c in a), "little"
-    )
-    pb = int.from_bytes(
-        b"".join(c.to_bytes(w, "little") for c in b), "little"
-    )
-    raw = (pa * pb).to_bytes(w * (len(a) + len(b)), "little")
-    out = []
-    for i in range(len(a) + len(b) - 1):
-        out.append(int.from_bytes(raw[i * w : (i + 1) * w], "little") % q)
-    return _dense_trim(out)
+    n = len(a) + len(b) - 1
+    if w <= 8:
+        w = next(s for s in _SLOT_CODES if s >= w)
+        code = _SLOT_CODES[w]
+        pa = int.from_bytes(_native(array(code, a)).tobytes(), "little")
+        pb = int.from_bytes(_native(array(code, b)).tobytes(), "little")
+        out = array(code)
+        out.frombytes((pa * pb).to_bytes(w * (n + 1), "little"))
+        return _dense_trim([c % q for c in _native(out)[:n]])
+    pa = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
+    pb = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in b), "little")
+    raw = (pa * pb).to_bytes(w * (n + 1), "little")
+    return _dense_trim([int.from_bytes(raw[i * w : (i + 1) * w], "little") % q
+                        for i in range(n)])
 
 
-def _dense_rem(a, b, p):
-    """Remainder only (for gcd chains)."""
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[db], p - 2, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            q = c * inv % p
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - q * b[j]) % p
-    del a[db:]
-    return _dense_trim(a)
+def _native(arr):
+    """Swap an array between little-endian and this machine's byte order."""
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr
 
 
 def _dense_divmod(a, b, p):
+    """Long division by b over F_p.  Entries of a are reduced only when a
+    quotient digit reads them; in between they grow by at most p^2 per
+    row, so the row update is one list expression."""
     a = list(a)
     db = len(b) - 1
     inv = pow(b[db], p - 2, p)
@@ -463,19 +480,25 @@ def _dense_divmod(a, b, p):
         if c:
             q = c * inv % p
             quot[i - db] = q
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - q * b[j]) % p
-    return quot, _dense_trim([c % p for c in a])
+            lo = i - db
+            a[lo : i + 1] = [x - q * y for x, y in zip(a[lo : i + 1], b)]
+    return quot, _dense_trim([c % p for c in a[:db]])
 
 
 def _dense_gcd(a, b, p):
     a, b = _dense_trim([c % p for c in a]), _dense_trim([c % p for c in b])
     while b:
-        a, b = b, _dense_rem(a, b, p)
+        a, b = b, _dense_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [c * inv % p for c in a]
     return a
+
+
+def poly_frobenius(f, q):
+    """f^q for an F_p polynomial f and a power q of p: the coefficients
+    are their own p-th powers, so only the exponents scale."""
+    return SparsePoly(f.domain, f.nvars, {tuple(a * q for a in e): c for e, c in f.terms.items()})
 
 
 def exact_div(f, g):
@@ -492,25 +515,35 @@ def exact_div(f, g):
             if rem:
                 raise InternalError("inexact polynomial division")
             return _from_dense(quot, dom, f.nvars, v)
+    # the remainder's terms wait in a heap, leading term first; a term
+    # dropped from the remainder stays behind in the heap and is skipped
     quot = {}
     rem = dict(f.terms)
+    heap = [_grlex_desc(e) for e in rem]
+    heapq.heapify(heap)
     ge, gc = g.leading()
     gc_inv = dom.inv(gc)
-    while rem:
-        e = max(rem, key=grlex_key)
-        c = rem[e]
+    while heap:
+        e = heapq.heappop(heap)[2]
+        c = rem.pop(e, None)
+        if c is None:
+            continue
         qe = tuple(a - b for a, b in zip(e, ge))
         if any(x < 0 for x in qe):
             raise InternalError("inexact polynomial division")
         qc = dom.mul(c, gc_inv)
         quot[qe] = qc
         for e2, c2 in g.terms.items():
+            if e2 == ge:  # cancels the leading term e
+                continue
             te = tuple(a + b for a, b in zip(qe, e2))
-            prev = rem.get(te, dom.zero)
-            s = dom.add(prev, dom.neg(dom.mul(qc, c2)))
+            prev = rem.get(te)
+            s = dom.neg(dom.mul(qc, c2)) if prev is None else dom.add(prev, dom.neg(dom.mul(qc, c2)))
             if dom.is_zero(s):
                 rem.pop(te, None)
             else:
+                if prev is None:
+                    heapq.heappush(heap, _grlex_desc(te))
                 rem[te] = s
     return SparsePoly(dom, f.nvars, quot)
 
@@ -540,15 +573,6 @@ def _from_var_coeffs(domain, nvars, v, coeffs):
             e = exps[:v] + (d,) + exps[v + 1 :]
             terms[e] = c
     return SparsePoly(domain, nvars, terms)
-
-
-def _max_var(f):
-    best = -1
-    for exps in f.terms:
-        for v in range(f.nvars - 1, best, -1):
-            if exps[v] > 0 and v > best:
-                best = v
-    return best
 
 
 def _content_in_var(f, v):
@@ -612,12 +636,14 @@ def poly_gcd(f, g):
         p = f.domain.p
         out = _dense_gcd(_to_dense(f, uv), _to_dense(g, uv), p)
         return _from_dense(out, f.domain, f.nvars, uv)
-    v = max(_max_var(f), _max_var(g))
-    if f.degree_in(v) == 0 or g.degree_in(v) == 0:
-        # v occurs in only one of them: gcd cannot involve v.
-        if f.degree_in(v) == 0:
+    fv, gv = _active_vars(f), _active_vars(g)
+    if fv != gv:
+        # a variable in only one of them: the gcd cannot involve it
+        v = min(fv ^ gv)
+        if v in gv:
             return poly_gcd(f, _content_in_var(g, v))
         return poly_gcd(_content_in_var(f, v), g)
+    v = max(fv)
     cf = _content_in_var(f, v)
     cg = _content_in_var(g, v)
     a = exact_div(f, cf)
@@ -635,3 +661,63 @@ def poly_gcd(f, g):
         # nonzero remainder free of v: the primitive parts are coprime
         head = SparsePoly.constant(f.domain, f.nvars, f.domain.one)
     return monic(poly_gcd(cf, cg) * head)
+
+
+# ---------------------------------------------------------------------------
+# Lifts from F_p to Z/q: the Cohen model, base-ring components and the Witt
+# ghost engine share these.
+# ---------------------------------------------------------------------------
+
+
+def lift_power(poly, dom, e, nvars=None, cap=None):
+    """An F_p polynomial read coefficientwise over ``dom`` in ``nvars``
+    variables (the trailing ones, the symbols, absent), to the e-th power.
+    Without padding the terms mapping is shared, not copied."""
+    pad = (0,) * ((nvars or poly.nvars) - poly.nvars)
+    terms = {x + pad: c for x, c in poly.terms.items()} if pad else poly.terms
+    return SparsePoly(dom, poly.nvars + len(pad), terms).pow(e, cap=cap)
+
+
+def shift(poly, i, scale):
+    """scale * T^i * poly, i padded with zeros (i = () only scales)."""
+    q = poly.domain.q
+    i = tuple(i) + (0,) * (poly.nvars - len(i))
+    terms = {}
+    for e, c in poly.terms.items():
+        c = c * scale % q
+        if c:
+            terms[tuple(a + b for a, b in zip(e, i))] = c
+    return SparsePoly(poly.domain, poly.nvars, terms)
+
+
+def reduce_coeffs(poly, dom):
+    """poly with its coefficients reduced into ``dom`` (Z/q, q dividing
+    the modulus of poly)."""
+    terms = {}
+    for e, c in poly.terms.items():
+        c %= dom.q
+        if c:
+            terms[e] = c
+    return SparsePoly(dom, poly.nvars, terms)
+
+
+def div_p(poly, p, message):
+    """poly / p over Z/(q/p); InternalError with ``message`` when a
+    coefficient is not divisible by p."""
+    q = poly.domain.q // p
+    terms = {}
+    for e, c in poly.terms.items():
+        if c % p:
+            raise InternalError(message)
+        terms[e] = c // p
+    return SparsePoly(ZmodDomain(q), poly.nvars, terms)
+
+
+def poly_lcm(polys, one):
+    """The lcm of F_p polynomials of leading coefficient 1 (constants are
+    skipped)."""
+    out = one
+    for b in set(polys):
+        if not b.is_constant():
+            out = out * exact_div(b, poly_gcd(out, b))
+    return out

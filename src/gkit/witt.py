@@ -1,6 +1,12 @@
 """Truncated p-typical Witt vectors over any supported coefficient ring.
 
-Arithmetic is driven by the universal structure polynomials, built once per
+Over k = F_p(t_1..t_d), `witt_add`, `witt_sub`, `witt_mul`, `witt_neg` and
+`witt_sum` run on ghost components of lifts (the ghost engine below): the
+entries are put over one denominator D as numerators in F_p[t], their
+ghost components are computed on lifts to (Z/p^(m+1))[T], added or
+multiplied componentwise, and the result's entries are peeled back one
+position at a time.  Every other ring (the integers, etale extensions of
+k, and k[z]) evaluates the universal structure polynomials, built once per
 (p, N) by the classical ghost-component recursion over the integers
 
     S_n = (w_n(x) + w_n(y) - sum_{i<n} p^i S_i^{p^(n-i)}) / p^n,
@@ -8,12 +14,13 @@ Arithmetic is driven by the universal structure polynomials, built once per
 with every division checked to be exact.  Over the integers the ghost maps
 are injective, which makes them an independent oracle for the construction;
 over F_p-algebras the mod-p reductions of the same polynomials are used
-(they are much smaller).  Every op evaluates them with the one polynomial
+(they are much smaller).  They are evaluated with the one polynomial
 evaluator, `polys.eval_terms`, which skips a term with a positive exponent
-on a zero entry.
+on a zero entry, and they remain the reference the engine is tested
+against.
 
-Sizes grow quickly with N: keep N <= 4 for p = 2 and N <= 3 for p = 3.
-Measured term counts of the full integer polynomials:
+Sizes grow quickly with N.  Measured term counts of the full integer
+polynomials:
 
     p=2: S = [2, 3, 8, 40]        P = [1, 3, 9, 51]
     p=3: S = [2, 4, 24]           P = [1, 3, 13]
@@ -26,13 +33,27 @@ proportion to that count (measured: (1009, 2) with 1012 monomials in 1.0 s,
 `structure_polys` refuses, with ResourceLimit and before building, any
 (p, N) whose count exceeds MAX_MONOMIALS = 1200.  Admitted are N = 1 for
 every p, N = 2 for p < 1200, N = 3 for p <= 7, N = 4 for p <= 3, and
-N = 5 for p = 2.
+N = 5 for p = 2.  The ghost engine builds no structure polynomial but
+keeps the same envelope (`_check_envelope`), so every op admits and
+refuses the same (p, N) over every ring.
 """
 
+import functools
 import threading
 
+from .basefield import BaseFieldElem
 from .errors import IndexOutOfRange, InternalError, LengthMismatch, ResourceLimit
-from .polys import IntDomain, SparsePoly, eval_terms
+from .polys import (
+    IntDomain,
+    SparsePoly,
+    ZmodDomain,
+    eval_terms,
+    exact_div,
+    poly_frobenius,
+    poly_gcd,
+    poly_lcm,
+)
+from .rings import FieldRing
 
 _INT = IntDomain()
 _cache = {}
@@ -197,40 +218,250 @@ def teichmuller(ring, x, N):
     return WittVector(ring, (x,) + (ring.zero(),) * (N - 1))
 
 
-def _evaluate(which, u, v=None):
-    """Structure polynomials ``which`` (0 sums, 1 products, 2 negation,
-    3 Frobenius) at the entries of u and v (zeros when v is absent); over an
-    F_p-algebra their reductions mod p."""
+_POLYS = {"add": 0, "mul": 1, "neg": 2, "frob": 3}
+_SIGNS = {"add": (1, 1), "sub": (1, -1), "neg": (-1,)}
+
+
+def _evaluate(op, u, v=None):
+    """The Witt operation ``op`` ("add", "sub", "mul", "neg" or "frob") on
+    u and v (zeros when v is absent).  Over k the ghost engine computes it;
+    over other rings the structure polynomials, reduced mod p over an
+    F_p-algebra, are evaluated at the entries.  The (p, N) envelope
+    applies to both."""
     ring = u.ring
-    sp = structure_polys(_prime_of(ring), len(u))
-    if v is None:
-        v = witt_zero(ring, len(u))
-    elif len(u) != len(v):
-        raise LengthMismatch(f"Witt lengths {len(u)} and {len(v)} differ")
-    elif ring != v.ring:
-        raise LengthMismatch("Witt vectors over different rings")
-    if ring.char_p is not None:
-        polys = sp.reduced_mod_p()[which]
+    p, N = _prime_of(ring), len(u)
+    engine = isinstance(ring, FieldRing)
+    if engine:
+        _check_envelope(p, N)
     else:
-        polys = (sp.sums, sp.prods, sp.negs, sp.frobs)[which]
+        sp = structure_polys(p, N)
+    if v is None:
+        v = witt_zero(ring, N)
+    else:
+        _check_pair(u, v)
+    if engine:
+        if op == "mul":
+            return _product(u, v)
+        return _linear(ring, list(zip(_SIGNS[op], (u, v))))
+    if ring.char_p is not None:
+        polys = sp.reduced_mod_p()[_POLYS[op]]
+    else:
+        polys = (sp.sums, sp.prods, sp.negs, sp.frobs)[_POLYS[op]]
     values = u.entries + v.entries
     return WittVector(ring, tuple(eval_terms(q.terms, values, ring.from_int, 0) for q in polys))
 
 
+def _check_pair(u, v):
+    if len(u) != len(v):
+        raise LengthMismatch(f"Witt lengths {len(u)} and {len(v)} differ")
+    if u.ring != v.ring:
+        raise LengthMismatch("Witt vectors over different rings")
+
+
 def witt_add(u, v):
-    return _evaluate(0, u, v)
+    return _evaluate("add", u, v)
 
 
 def witt_mul(u, v):
-    return _evaluate(1, u, v)
+    return _evaluate("mul", u, v)
 
 
 def witt_neg(u):
-    return _evaluate(2, u)
+    return _evaluate("neg", u)
 
 
 def witt_sub(u, v):
+    if isinstance(u.ring, FieldRing):
+        _check_envelope(_prime_of(v.ring), len(v))  # where witt_neg(v) would stop
+        return _evaluate("sub", u, v)
     return witt_add(u, witt_neg(v))
+
+
+def witt_sum(vectors):
+    """The sum of one or more vectors: one ghost-engine pass over k, a
+    fold of witt_add elsewhere."""
+    u = vectors[0]
+    if not isinstance(u.ring, FieldRing):
+        return functools.reduce(witt_add, vectors)
+    _check_envelope(u.ring.params.p, len(u))
+    for v in vectors[1:]:
+        _check_pair(u, v)
+    return _linear(u.ring, [(1, w) for w in vectors])
+
+
+# -- the ghost engine over k = F_p(t_1..t_d) ---------------------------------
+#
+# Entry i of u is U_i / D^{p^i} with U_i, D in F_p[t].  Lifting U_i and D
+# to Z[T], the m-th ghost component of the lift is G_m / lift(D)^{p^m} with
+#
+#     G_m = sum_{i <= m} p^i lift(U_i)^{p^(m-i)},
+#
+# which modulo p^(m+1) does not depend on the lifts (Dwork's lemma; see
+# L. Hesselholt, "Lecture notes on Witt vectors", 2005, section 1, and
+# L. R. A. Finotti, "Computations with Witt vectors and the Greenberg
+# transform", IJNT 10, 2014).  Witt sums and products act on ghost
+# components componentwise, so the ghost numerators of a signed sum over a
+# shared D are the signed sum of the G_m, and those of u * v over D_u D_v
+# are G_m(u) G_m(v).  The result's numerators S_m are peeled back one at
+# a time: S_m = (G_m - sum_{i<m} p^i lift(S_i)^{p^(m-i)}) / p^m mod p.
+
+
+def _linear(ring, signed):
+    """The sum of sign * w over the (sign, w) pairs, all over k."""
+    params = ring.params
+    p, nvars = params.p, params.d
+    nums = [_numerators(w) for _, w in signed]
+    dens = {Dw for _, Dw in nums if Dw is not None}
+    D = poly_lcm(dens, params._one_poly()) if dens else None
+    ghosts = None
+    for (sign, _), (U, Dw) in zip(signed, nums):
+        gs = _ghosts(_rescale(U, Dw, D, p), p, nvars)
+        if sign < 0:
+            gs = [-g for g in gs]
+        ghosts = gs if ghosts is None else [a + b for a, b in zip(ghosts, gs)]
+    return _peel(ring, ghosts, D, _den_bounds([w for _, w in signed], D))
+
+
+def _product(u, v):
+    """u * v over k: ghost numerators multiply, over D_u D_v."""
+    params = u.ring.params
+    p, nvars = params.p, params.d
+    (U, Du), (V, Dv) = _numerators(u), _numerators(v)
+    ghosts = [a * b for a, b in zip(_ghosts(U, p, nvars), _ghosts(V, p, nvars))]
+    bounds = [_times(a, b) for a, b in zip(_den_bounds([u], Du), _den_bounds([v], Dv))]
+    return _peel(u.ring, ghosts, _times(Du, Dv), bounds)
+
+
+def _peel(ring, ghosts, D, bounds):
+    """The vector whose ghost numerators over D are ``ghosts``."""
+    params = ring.params
+    p, nvars = params.p, params.d
+    entries = []
+    chain = []  # lift(S_i)^{p^(m-i)} modulo p^(m-i+1), as in _ghosts
+    den = D  # D^{p^m}
+    for m, g in enumerate(ghosts):
+        q, scale = p ** (m + 1), p**m
+        low = _advance(chain, p, m, nvars).terms
+        peeled = {}
+        for e in g.terms.keys() | low.keys():
+            c = (g.terms.get(e, 0) - low.get(e, 0)) % q
+            if c % scale:
+                raise InternalError(f"ghost component {m} is not divisible by p^{m}")
+            if c:
+                peeled[e] = c // scale
+        S = SparsePoly(params.domain, nvars, peeled)
+        chain.append(S)
+        entries.append(_fraction(params, S, den, D, bounds[m]))
+        if den is not None:
+            den = poly_frobenius(den, p)
+    return WittVector(ring, entries)
+
+
+def _numerators(u):
+    """(U, D) with entry i of u equal to U_i / D^{p^i}; D is None when every
+    denominator is 1.  D is the lcm of the r_i, where r_i is the p^i-th
+    root of entry i's denominator b_i when b_i is a p^i-th power, else b_i;
+    either way D^{p^i} / b_i is a polynomial."""
+    entries = u.entries
+    if all(x.den.is_constant() for x in entries):
+        return [x.num for x in entries], None
+    p = u.ring.params.p
+    roots = [_root(x.den, p**i) for i, x in enumerate(entries)]
+    D = poly_lcm([x.den if r is None else r for r, x in zip(roots, entries)],
+                 u.ring.params._one_poly())
+    U = []
+    for i, (x, r) in enumerate(zip(entries, roots)):
+        if x.num.is_zero():
+            U.append(x.num)
+        elif r is not None:
+            U.append(x.num * poly_frobenius(exact_div(D, r), p**i))
+        else:
+            U.append(x.num * exact_div(poly_frobenius(D, p**i), x.den))
+    return U, D
+
+
+def _times(a, b):
+    """a * b with None standing for 1."""
+    return b if a is None else a if b is None else a * b
+
+
+def _root(b, q):
+    """The q-th root of the F_p polynomial b when every exponent of b is
+    divisible by q > 1, else None."""
+    if q == 1 or any(a % q for e in b.terms for a in e):
+        return None
+    return SparsePoly(b.domain, b.nvars, {tuple(a // q for a in e): c for e, c in b.terms.items()})
+
+
+def _rescale(U, D, new, p):
+    """Numerators over D^{p^i} brought over new^{p^i} (D divides new)."""
+    if D == new:
+        return U
+    cofactor = new if D is None else exact_div(new, D)
+    return [x * poly_frobenius(cofactor, p**i) for i, x in enumerate(U)]
+
+
+def _den_bounds(vectors, D):
+    """B_m, the lcm of b_i^{p^(m-i)} over the entries i <= m of the vectors
+    (b_i the entry's denominator), for each m; None when D is.  Entry m of
+    a sum, difference or negative of the vectors is isobaric of weight p^m
+    in their entries, so its denominator divides B_m, and B_m divides
+    D^{p^m}; in a product each factor contributes its own B_m."""
+    if D is None:
+        return [None] * len(vectors[0])
+    one = SparsePoly.constant(D.domain, D.nvars, D.domain.one)
+    B, out = one, []
+    for m in range(len(vectors[0])):
+        B = poly_lcm([poly_frobenius(B, D.domain.p)] + [w.entries[m].den for w in vectors], one)
+        out.append(B)
+    return out
+
+
+def _ghosts(U, p, nvars):
+    """G_m modulo p^(m+1) for m < len(U), over Z/p^(m+1)."""
+    chain = []
+    out = []
+    for x in U:
+        chain.append(x)
+        out.append(_advance(chain, p, len(out), nvars))
+    return out
+
+
+def _advance(chain, p, m, nvars):
+    """Step m of a power chain: chain[i] (i < m) holds lift(X_i)^{p^(m-1-i)}
+    modulo p^(m-i) and becomes its p-th power modulo p^(m-i+1), which is
+    lift(X_i)^{p^(m-i)} whatever the lift (a = b mod p^j gives
+    a^p = b^p mod p^(j+1)); chain[m], if present, is X_m over F_p.
+    Returns sum_i p^i chain[i] modulo p^(m+1)."""
+    q = p ** (m + 1)
+    acc = {}
+    for i, x in enumerate(chain):
+        if not x.terms:
+            continue
+        if i < m:
+            x = chain[i] = SparsePoly(ZmodDomain(p ** (m - i + 1)), x.nvars, x.terms).pow(p)
+        scale = p**i
+        for e, c in x.terms.items():
+            acc[e] = acc.get(e, 0) + c * scale
+    terms = {}
+    for e, c in acc.items():
+        c %= q
+        if c:
+            terms[e] = c
+    return SparsePoly(ZmodDomain(q), nvars, terms)
+
+
+def _fraction(params, S, den, D, bound):
+    """S / den in lowest terms, den = D^{p^m} (None for 1) and ``bound`` a
+    multiple of the denominator dividing den.  S loses the factor
+    den / bound exactly, and then only bound takes part in the gcd; when
+    bound is den, S coprime to D needs no gcd with den, because every
+    prime factor of den divides D."""
+    if den is None or not S.terms:
+        return BaseFieldElem(params, S, params._one_poly(), normalize=False)
+    if bound != den:
+        return BaseFieldElem(params, exact_div(S, exact_div(den, bound)), bound)
+    return BaseFieldElem(params, S, den, normalize=not poly_gcd(S, D).is_constant())
 
 
 def _prime_of(ring):
@@ -264,7 +495,7 @@ def frobenius(w):
     ring = w.ring
     if ring.char_p is not None:
         return WittVector(ring, tuple(ring.pth_power(a) for a in w.entries))
-    return _evaluate(3, w)
+    return _evaluate("frob", w)
 
 
 def p_times(w):

@@ -183,10 +183,25 @@ def _schoolbook(a, b, p):
     return out
 
 
-@pytest.mark.parametrize("p", [2, 4294967291])
+# shorter lengths that put the Kronecker slot, (q-1)^2 times the shorter
+# length in bytes, at the top of a machine word and just past it
+SLOT_EDGES = {2: (255, 256), 3: (63, 64), 8: (5, 6), 27: (96, 97), 65537: (1, 2),
+              4294967291: (1, 2)}
+
+
+def test_slot_edges_cover_every_word_and_the_bytes_path():
+    widths = {(((q - 1) ** 2 * n).bit_length() + 7) // 8
+              for q, lengths in SLOT_EDGES.items() for n in lengths}
+    # words of 1, 2, 4 (from 3) and 8 (from 5 and 8) bytes; 9 bytes is past them
+    assert widths == {1, 2, 3, 5, 8, 9}
+
+
+@pytest.mark.parametrize("p", [2, 4294967291, 3, 8, 27, 65537])
 def test_dense_mul_matches_schoolbook(p, rng):
-    """Kronecker slots are wide enough for (p-1)^2 times the shorter length."""
-    for n, m in ((40, 40), (40, 3), (1, 40), (7, 1)):
+    """Kronecker slots are wide enough for (p-1)^2 times the shorter length,
+    for q prime or not, in every machine-word slot and past them."""
+    edges = [(n, n + 3) for n in SLOT_EDGES[p]]
+    for n, m in ((40, 40), (40, 3), (1, 40), (7, 1), *edges):
         largest = ([p - 1] * n, [p - 1] * m)
         drawn = ([rng.randrange(1, p) for _ in range(n)], [rng.randrange(1, p) for _ in range(m)])
         for a, b in (largest, drawn):

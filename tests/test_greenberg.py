@@ -1,11 +1,19 @@
+import os
+
 import pytest
 
 from gkit import base as B
+from gkit import cli
 from gkit import greenberg as G
 from gkit.errors import NotASolution, ResourceLimit
 from gkit.polys import eval_terms
 from gkit.rings import SymbolicRing, multi_indices
-from gkit.sampling import rand_base_elem, rand_etale_elem, rand_field_elem
+from gkit.sampling import (
+    rand_base_elem,
+    rand_etale_elem,
+    rand_field_elem,
+    rand_nonzero_field_elem,
+)
 
 
 def eval_poly(q, values, embed=lambda c: c):
@@ -506,3 +514,54 @@ def test_restriction_cap_counts_monomials_in_the_new_symbols(params2):
     G.weil_restrict(params2, ["z"], [wide * z * z + z + wide], monomial_cap=5)
     with pytest.raises(ResourceLimit, match="exceeded 4 monomials"):
         G.weil_restrict(params2, ["z"], [wide * z * z + z + wide], monomial_cap=4)
+
+
+def _is_solution_per_term(pres, values):
+    """The per-term route: each equation evaluated in k with gcd-normalised
+    fractions."""
+    return all(eval_poly(q, values).is_zero() for q in pres.equations)
+
+
+GOLDEN_PUSHES = os.path.join(os.path.dirname(__file__), "golden", "greenberg.gk")
+# fraction coefficients over Eisenstein pi^2 - p at p = 3, stages 1 and 2
+FRACTION_PUSHES = """
+base { p = 3; pbasis = [t]; }
+ring B = eisenstein(2, E = pi^2 - p);
+scheme F over B { vars [x]; eqs [ teich(1/(t + 1))*(x - teich(t/(t^2 + 2)) - pi*teich(1/t)) ]; }
+point push F (teich(t/(t^2 + 2)) + pi*teich(1/t)) --stage 1;
+point push F (teich(t/(t^2 + 2)) + pi*teich(1/t)) --stage 2;
+"""
+
+
+@pytest.mark.parametrize("script,pushes", [("golden", 7), ("fractions", 2)])
+def test_is_solution_matches_the_per_term_route(script, pushes, rng, monkeypatch):
+    """The cleared-numerator check agrees with evaluating every equation in
+    k: on each point push of the scripts (solutions) and on seeded
+    perturbations of them, one coordinate shifted or a nonzero one set to
+    zero."""
+    if script == "golden":
+        with open(GOLDEN_PUSHES) as fh:
+            text = fh.read()
+    else:
+        text = FRACTION_PUSHES
+    checked = []
+    is_solution = G.GreenbergPresentation.is_solution
+
+    def spy(pres, values):
+        checked.append((pres, list(values)))
+        return is_solution(pres, values)
+
+    monkeypatch.setattr(G.GreenbergPresentation, "is_solution", spy)
+    session = cli.run_script(text, cli.SessionConfig())
+    assert all(r["status"] == "ok" for r in session.results if r["cmd"] == "point.push")
+    assert len(checked) == pushes
+    for pres, values in checked:
+        assert is_solution(pres, values) and _is_solution_per_term(pres, values)
+        for _ in range(4):
+            bad = list(values)
+            v = rng.randrange(len(bad))
+            if rng.randrange(2) and not bad[v].is_zero():
+                bad[v] = pres.params.zero()
+            else:
+                bad[v] = bad[v] + rand_nonzero_field_elem(rng, pres.params)
+            assert is_solution(pres, bad) == _is_solution_per_term(pres, bad)

@@ -1,11 +1,14 @@
 import pytest
 
+from gkit import cohen as C
 from gkit import witt as W
+from gkit.basefield import PrimeParams
 from gkit.errors import IndexOutOfRange, LengthMismatch
 from gkit.polys import IntDomain, SparsePoly
 from gkit.rings import FieldRing, IntegerRing, SymbolicRing
 from gkit.sampling import (
     rand_ambient_elem,
+    rand_cohen,
     rand_field_elem,
     rand_int_witt,
     rand_nonzero_field_elem,
@@ -189,27 +192,63 @@ def _symbolic_sampler(rng, params):
     return ring, sample
 
 
+def _k_sampler(rng, ring, N):
+    """Vectors over k: entries that are zero, fractions with small
+    denominators (rarely a p^i-th power at entry i), and fractions whose
+    denominator at entry i is a p^i-th power.  While p^(N-1) <= 9, one
+    vector in four is the image of a random Cohen element instead (beyond,
+    its top entry has degree in the thousands)."""
+    params = ring.params
+
+    def entry(i):
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rand_field_elem(rng, params, max_deg=1)
+        num = rand_field_elem(rng, params, max_deg=1, with_denominator=False)
+        return num / rand_nonzero_field_elem(rng, params, max_deg=1).pth_power(i)
+
+    def vector():
+        if ring.char_p ** (N - 1) <= 9 and rng.randrange(4) == 0:
+            return C.to_witt(rand_cohen(rng, ring, N, density=0.3, max_deg=1))
+        return W.WittVector(ring, [ring.zero() if rng.randrange(4) == 0 else entry(i)
+                                   for i in range(N)])
+
+    return vector
+
+
+# draws per case where 12 would take seconds: the every-term evaluation
+# grows with the structure polynomials
+ENGINE_DRAWS = {("k2", 2, 5): 6, ("k3", 3, 4): 6, ("k5", 5, 3): 6, ("k7", 7, 3): 3}
+
+
 @pytest.mark.parametrize(
     "which,p,N",
-    [("k2", 2, 4), ("k3", 3, 3), ("etale_ring", 2, 3), ("sym2", 2, 3), ("sym3", 3, 2)],
+    [("k2", 2, 4), ("k3", 3, 3), ("etale_ring", 2, 3), ("sym2", 2, 3), ("sym3", 3, 2),
+     ("k2", 2, 1), ("k2", 2, 5), ("k3", 3, 4), ("k5", 5, 3), ("k7", 7, 3), ("k22", 2, 3)],
 )
 def test_zero_entries_match_every_term_evaluation(which, p, N, rng, request):
-    """Skipping the terms that vanish on zero entries changes no result:
-    witt_add/witt_mul/witt_neg agree with evaluating every term of the
-    integer structure polynomials."""
+    """witt_add/witt_sub/witt_mul/witt_neg agree with evaluating every term
+    of the integer structure polynomials: over k, where the ghost engine
+    computes them, and over the other rings, where skipping the terms that
+    vanish on zero entries must change no result."""
     if which.startswith("sym"):
-        ring, sample = _symbolic_sampler(rng, request.getfixturevalue(f"params{p}"))
+        ring, _sample = _symbolic_sampler(rng, request.getfixturevalue(f"params{p}"))
+        draw = lambda: _with_zeros(rng, ring, N, _sample)
+    elif which.startswith("k"):
+        ring = FieldRing(PrimeParams(p, 2 if which == "k22" else 1))
+        draw = _k_sampler(rng, ring, N)
     else:
         ring = request.getfixturevalue(which)
-        sample = lambda: rand_ambient_elem(rng, ring, max_deg=1)
+        draw = lambda: _with_zeros(rng, ring, N, lambda: rand_ambient_elem(rng, ring, max_deg=1))
     sp = W.structure_polys(p, N)
     zeros = [ring.zero()] * N
-    for _ in range(12):
-        u = _with_zeros(rng, ring, N, sample)
-        v = _with_zeros(rng, ring, N, sample)
+    for _ in range(ENGINE_DRAWS.get((which, p, N), 12)):
+        u, v = draw(), draw()
         uv = list(u.entries) + list(v.entries)
+        neg_v = [_eval_every_term(q, ring, list(v.entries) + zeros) for q in sp.negs]
         for got, polys, values in (
             (W.witt_add(u, v), sp.sums, uv),
+            (W.witt_sub(u, v), sp.sums, list(u.entries) + neg_v),
             (W.witt_mul(u, v), sp.prods, uv),
             (W.witt_neg(u), sp.negs, list(u.entries) + zeros),
         ):
