@@ -14,13 +14,18 @@ A base also models its quotients A/I^j: the component of pi^w survives
 modulo p^ceil((j-w)/e), which in canonical coordinates means slots at
 positions >= ceil((j-w)/e) are dropped.  That normal form makes quotient
 arithmetic "compute in A, then renormalize".
+
+The canonical lifting of an etale Q = k[y]/(g) over A, A[y]/(g~), is the
+power-basis algebra of basefield.py over the elements of A (`LiftedEtale`).
 """
 
 import math
 import operator
 
 from . import cohen
-from .basefield import BaseFieldElem, EtaleAlgebra, PrimeParams, power_table, quotient_mul
+from .basefield import (
+    BaseFieldElem, EtaleAlgebra, PowerBasisAlgebra, PowerBasisElem, PrimeParams, binary_power,
+)
 from .errors import (
     InternalError,
     NotAUnit,
@@ -279,15 +284,7 @@ class BaseElem:
         return _peel(self.algebra, _model_product(self.algebra, *vecs))
 
     def __pow__(self, n):
-        out = self.algebra.one()
-        b = self
-        while n:
-            if n & 1:
-                out = out * b
-            n >>= 1
-            if n:
-                b = b * b
-        return out
+        return binary_power(self, n, self.algebra.one())
 
     def scale_p(self, s=1):
         """Multiply by p^s (componentwise on the pi-basis)."""
@@ -456,37 +453,29 @@ def structure_map(base: ArtinianBase, c) -> BaseElem:
     return base.algebra().from_component(cohen.truncate_level(c, base.m))
 
 
-class LiftedEtale:
+class LiftedEtaleElem(PowerBasisElem):
+    __slots__ = ()
+
+    def residue(self):
+        """The image in Q."""
+        return self.algebra.q.from_coords(c.residue() for c in self.coords)
+
+    def __repr__(self):
+        return f"<A[y] {list(self.coords)!r}>"
+
+
+class LiftedEtale(PowerBasisAlgebra):
     """The canonical lifting of an etale extension Q = k[y]/(g) over A:
     A[y]/(g~) with g~ the coefficientwise canonical lift of g.  Formally
     etale over A; reduces to Q modulo I."""
 
+    elem = LiftedEtaleElem
+
     def __init__(self, base: ArtinianBase, q: EtaleAlgebra):
+        alg = base.algebra()
+        super().__init__((alg.teich(c) for c in q.coeffs), alg.zero(), alg.one(), (base, q))
         self.base = base
         self.q = q
-        alg = base.algebra()
-        self.coeffs = tuple(alg.teich(c) for c in q.coeffs)
-        self.deg = q.deg
-        self._reduction = power_table(self.coeffs, alg.zero())
-
-    def zero(self):
-        return LiftedEtaleElem(self, (self.base.algebra().zero(),) * self.deg)
-
-    def one(self):
-        return self.from_base(self.base.algebra().one())
-
-    def from_base(self, a):
-        return LiftedEtaleElem(self, (a,) + (self.base.algebra().zero(),) * (self.deg - 1))
-
-    def gen(self):
-        coords = [self.base.algebra().zero()] * self.deg
-        if self.deg == 1:
-            return LiftedEtaleElem(self, tuple(self._reduction[0]))
-        coords[1] = self.base.algebra().one()
-        return LiftedEtaleElem(self, tuple(coords))
-
-    def from_coords(self, coords):
-        return LiftedEtaleElem(self, tuple(coords))
 
     def reduction_coeffs(self):
         """Residues of the lifted defining polynomial: recovers g."""
@@ -498,49 +487,6 @@ class LiftedEtale:
 
     def __repr__(self):
         return f"<lift of {self.q!r} over {self.base!r}>"
-
-
-class LiftedEtaleElem:
-    __slots__ = ("parent", "coords")
-
-    def __init__(self, parent, coords):
-        self.parent = parent
-        self.coords = tuple(coords)
-
-    def __add__(self, other):
-        return LiftedEtaleElem(
-            self.parent, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other):
-        return LiftedEtaleElem(
-            self.parent, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self):
-        return LiftedEtaleElem(self.parent, tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        parent = self.parent
-        coords = quotient_mul(
-            self.coords, other.coords, parent._reduction, parent.base.algebra().zero()
-        )
-        return LiftedEtaleElem(parent, coords)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, LiftedEtaleElem):
-            return NotImplemented
-        return self.parent.base == other.parent.base and self.coords == other.coords
-
-    def residue(self):
-        """The image in Q."""
-        return self.parent.q.from_coords(tuple(c.residue() for c in self.coords))
-
-    def __repr__(self):
-        return f"<A[y] {list(self.coords)!r}>"
 
 
 def canonical_lift(q, base: ArtinianBase):

@@ -18,6 +18,11 @@ that basis, read through the inverse of the Frobenius matrix.  Over k and
 over Q a p-th root is digit 0 when every other digit vanishes.  Etale
 inverses and the separability check are linear solves over k
 (`linalg.row_reduce`).
+
+R[y]/(g) on power-basis coordinates is written once (`PowerBasisAlgebra`,
+`PowerBasisElem`), for any coefficient ring with dunder arithmetic: Q is
+the instance over k, and the canonical lifting of Q over an artinian base
+(`base.LiftedEtale`) the instance over that base.
 """
 
 import itertools
@@ -213,11 +218,6 @@ class BaseFieldElem:
             raise DivisionByZero("inverse of zero")
         return _lowest_terms(self.params, self.den, self.num)
 
-    def scale_int(self, n):
-        return BaseFieldElem(
-            self.params, self.num.scale(n % self.params.p), self.den, normalize=False
-        )
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -277,32 +277,194 @@ class BaseFieldElem:
 
 
 def _normalize_fraction(num, den):
-    if num.is_zero():
-        return num, SparsePoly.constant(den.domain, den.nvars, den.domain.one)
-    if not den.is_constant():
+    if not num.is_zero() and not den.is_constant():
         g = poly_gcd(num, den)
         if not g.is_constant():
-            num = exact_div(num, g)
-            den = exact_div(den, g)
-    _, lc = den.leading()
-    if not den.domain.eq(lc, den.domain.one):
-        inv = den.domain.inv(lc)
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return num, den
+            num, den = exact_div(num, g), exact_div(den, g)
+    return _leading_one(num, den)
 
 
 def _lowest_terms(params, num, den):
     """Fraction already in lowest terms: only enforce the leading-1
     denominator convention (and the canonical zero)."""
+    return BaseFieldElem(params, *_leading_one(num, den), normalize=False)
+
+
+def _leading_one(num, den):
+    """num/den scaled so that den has graded-lex leading coefficient 1;
+    zero becomes 0/1."""
+    dom = den.domain
     if num.is_zero():
-        return BaseFieldElem(params, num, params._one_poly(), normalize=False)
+        return num, SparsePoly.constant(dom, den.nvars, dom.one)
     _, lc = den.leading()
-    if not den.domain.eq(lc, den.domain.one):
-        inv = den.domain.inv(lc)
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return BaseFieldElem(params, num, den, normalize=False)
+    if not dom.eq(lc, dom.one):
+        inv = dom.inv(lc)
+        num, den = num.scale(inv), den.scale(inv)
+    return num, den
+
+
+# ---------------------------------------------------------------------------
+# Quotient rings R[y]/(g) on power-basis coordinates
+# ---------------------------------------------------------------------------
+
+
+def power_table(coeffs, zero):
+    """Coordinates of y^deg .. y^(2deg-2) modulo the monic g with
+    coefficients ``coeffs`` (constant term first)."""
+    deg = len(coeffs) - 1
+    row = [-c for c in coeffs[:-1]]
+    table = [tuple(row)]
+    for _ in range(deg - 2):
+        shifted = [zero] + row[:-1]
+        top = row[-1]
+        row = [a + top * b for a, b in zip(shifted, table[0])]
+        table.append(tuple(row))
+    return table
+
+
+def quotient_mul(a, b, table, zero):
+    """Product of two coordinate vectors in R[y]/(g), reduced by the
+    power table of g."""
+    deg = len(a)
+    conv = [zero] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            if not y.is_zero():
+                conv[i + j] = conv[i + j] + x * y
+    out = conv[:deg]
+    for excess, row in enumerate(table):
+        c = conv[deg + excess] if deg + excess < len(conv) else zero
+        if not c.is_zero():
+            out = [x + c * y for x, y in zip(out, row)]
+    return tuple(out)
+
+
+def binary_power(x, n, one):
+    """x^n for an integer n >= 0 by repeated squaring, starting from
+    ``one``."""
+    if n < 0:
+        raise TypeMismatch(f"negative power {n}")
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
+def _univar_str(coeffs, name):
+    """sum_j coeffs[j] name^j, highest power first; a coefficient other
+    than 1 leads its term, in parentheses when it is a sum or a fraction
+    and the term is not the constant one."""
+    parts = []
+    for j in reversed(range(len(coeffs))):
+        c = coeffs[j]
+        if c.is_zero():
+            continue
+        cs = str(c)
+        if j == 0:
+            parts.append(cs)
+            continue
+        var = name if j == 1 else f"{name}^{j}"
+        if cs == "1":
+            parts.append(var)
+        else:
+            if "+" in cs or "-" in cs[1:] or "/" in cs:
+                cs = f"({cs})"
+            parts.append(f"{cs}*{var}")
+    return " + ".join(parts) if parts else "0"
+
+
+class PowerBasisElem:
+    """An element of a `PowerBasisAlgebra`: its coordinate vector in the
+    power basis {1, y, .., y^(deg-1)}."""
+
+    __slots__ = ("algebra", "coords")
+
+    def __init__(self, algebra, coords):
+        self.algebra = algebra
+        self.coords = tuple(coords)
+
+    def _check(self, other):
+        if not isinstance(other, PowerBasisElem) or other.algebra != self.algebra:
+            raise TypeMismatch("mixed power-basis operands")
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        return type(self)(self.algebra, tuple(-a for a in self.coords))
+
+    def __mul__(self, other):
+        self._check(other)
+        alg = self.algebra
+        return type(self)(alg, quotient_mul(self.coords, other.coords, alg._reduction, alg._zero))
+
+    def __pow__(self, n):
+        return binary_power(self, n, self.algebra.one())
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self.coords)
+
+    def __eq__(self, other):
+        if not isinstance(other, PowerBasisElem):
+            return NotImplemented
+        return self.algebra == other.algebra and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.algebra, self.coords))
+
+
+class PowerBasisAlgebra:
+    """R[y]/(g) for a monic g of degree >= 1 over a ring R whose elements
+    have dunder arithmetic and ``is_zero``; products reduce through the
+    power table of g.  A subclass sets ``elem``, its element class, and
+    passes ``key``, the data that equality and hashing compare."""
+
+    elem = PowerBasisElem
+
+    def __init__(self, coeffs, zero, one, key):
+        self.coeffs = tuple(coeffs)
+        self.deg = len(self.coeffs) - 1
+        self.key = key
+        self._zero, self._one = zero, one
+        self._reduction = power_table(self.coeffs, zero)
+
+    def zero(self):
+        return self.elem(self, (self._zero,) * self.deg)
+
+    def one(self):
+        return self.from_base(self._one)
+
+    def from_base(self, c):
+        """The image of c in R[y]/(g)."""
+        return self.elem(self, (c,) + (self._zero,) * (self.deg - 1))
+
+    def gen(self):
+        if self.deg == 1:
+            return self.elem(self, self._reduction[0])
+        return self.elem(self, (self._zero, self._one) + (self._zero,) * (self.deg - 2))
+
+    def from_coords(self, coords):
+        coords = tuple(coords)
+        if len(coords) != self.deg:
+            raise TypeMismatch("coordinate vector has wrong length")
+        return self.elem(self, coords)
+
+    def __eq__(self, other):
+        return other is self or (type(other) is type(self) and other.key == self.key)
+
+    def __hash__(self):
+        return hash(self.key)
 
 
 # ---------------------------------------------------------------------------
@@ -310,143 +472,19 @@ def _lowest_terms(params, num, den):
 # ---------------------------------------------------------------------------
 
 
-class EtaleAlgebra:
-    """A monogenic etale extension Q = k[y]/(g), g monic separable.
+class EtaleElem(PowerBasisElem):
+    __slots__ = ()
 
-    Elements are coordinate vectors in the power basis {1, y, .., y^(deg-1)}.
-    An element is a unit iff its multiplication matrix is invertible, and g
-    is separable iff g' is a unit of Q; both are checked by solving that
-    matrix against the coordinates of 1.  Q is relatively perfect over k
-    (its relative Frobenius Q tensor_{k,F} k -> Q is an isomorphism), so
-    the powers y^(pj) form a k-basis of Q and the Frobenius matrix is
-    invertible; digits are read through its inverse (`digit_matrix`),
-    computed once per algebra.
-    """
-
-    def __init__(self, params, coeffs, name="y"):
-        coeffs = tuple(coeffs)
-        params_one = params.one()
-        if len(coeffs) < 2 or coeffs[-1] != params_one:
-            raise TypeMismatch("defining polynomial must be monic of degree >= 1")
-        self.params = params
-        self.coeffs = coeffs
-        self.deg = len(coeffs) - 1
-        self.name = name
-        self._reduction = power_table(coeffs, params.zero())
-        derivative = EtaleElem(self, [coeffs[i].scale_int(i) for i in range(1, len(coeffs))])
-        if derivative._inverse_coords() is None:
-            raise TypeMismatch("defining polynomial is not separable")
-        self._frob = None
-        self._digit_matrix = None
-
-    def zero(self):
-        return EtaleElem(self, (self.params.zero(),) * self.deg)
-
-    def one(self):
-        return self.from_k(self.params.one())
-
-    def from_k(self, c):
-        return EtaleElem(self, (c,) + (self.params.zero(),) * (self.deg - 1))
-
-    def gen(self):
-        coords = [self.params.zero()] * self.deg
-        if self.deg == 1:
-            return EtaleElem(self, tuple(self._reduction[0]) if self._reduction else ())
-        coords[1] = self.params.one()
-        return EtaleElem(self, tuple(coords))
-
-    def from_coords(self, coords):
-        coords = tuple(coords)
-        if len(coords) != self.deg:
-            raise TypeMismatch("coordinate vector has wrong length")
-        return EtaleElem(self, coords)
-
-    def frobenius_matrix(self):
-        """Column j holds the coordinates of (y^j)^p modulo g."""
-        if self._frob is None:
-            y = self.gen()
-            cols = [self.one().coords]
-            power = self.one()
-            yp = y**self.params.p
-            for _ in range(1, self.deg):
-                power = power * yp
-                cols.append(power.coords)
-            self._frob = cols
-        return self._frob
-
-    def digit_matrix(self):
-        """The inverse of the Frobenius matrix F: row j applied to the
-        coordinates of x gives the b_j with x = sum_j b_j y^(pj).  F is
-        invertible because Q is relatively perfect over k; one row
-        reduction of [F | I] finds its inverse, and a singular F raises
-        InternalError."""
-        if self._digit_matrix is None:
-            deg, zero, one = self.deg, self.params.zero(), self.params.one()
-            frob = self.frobenius_matrix()
-            augmented = [
-                [col[m] for col in frob] + [one if c == m else zero for c in range(deg)]
-                for m in range(deg)
-            ]
-            rows, pivots = linalg.row_reduce(augmented, zero)
-            if pivots != list(range(deg)):
-                raise InternalError("singular linear system")
-            self._digit_matrix = [row[deg:] for row in rows]
-        return self._digit_matrix
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EtaleAlgebra)
-            and other.params == self.params
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.params, self.coeffs))
-
-    def __repr__(self):
-        g = _univar_str(self.coeffs, self.name)
-        return f"<etale k[{self.name}]/({g})>"
-
-
-class EtaleElem:
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra, coords):
-        self.algebra = algebra
-        self.coords = tuple(coords)
+    # perfbench/spans.py wraps these by (owner, attribute), so they sit in
+    # this class's own dict
+    __add__ = PowerBasisElem.__add__
+    __sub__ = PowerBasisElem.__sub__
+    __mul__ = PowerBasisElem.__mul__
+    __pow__ = PowerBasisElem.__pow__
 
     @property
     def params(self):
         return self.algebra.params
-
-    def __add__(self, other):
-        self._check(other)
-        return EtaleElem(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return EtaleElem(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return EtaleElem(self.algebra, tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        self._check(other)
-        coords = quotient_mul(
-            self.coords, other.coords, self.algebra._reduction, self.params.zero()
-        )
-        return EtaleElem(self.algebra, coords)
-
-    def __pow__(self, n):
-        out = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     def inverse(self):
         """The solve of (multiplication by self) v = 1; NotAUnit when the
@@ -504,94 +542,77 @@ class EtaleElem:
 
     pth_root = _root_from_digits
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, EtaleElem):
-            return NotImplemented
-        return self.algebra == other.algebra and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.algebra, self.coords))
-
-    def _check(self, other):
-        if not isinstance(other, EtaleElem) or other.algebra != self.algebra:
-            raise TypeMismatch("mixed etale operands")
-
     def __str__(self):
-        name = self.algebra.name
-        parts = []
-        for j in reversed(range(self.algebra.deg)):
-            c = self.coords[j]
-            if c.is_zero():
-                continue
-            if j == 0:
-                parts.append(str(c))
-                continue
-            var = name if j == 1 else f"{name}^{j}"
-            cs = str(c)
-            if cs == "1":
-                parts.append(var)
-            else:
-                if "+" in cs or "-" in cs[1:] or "/" in cs:
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{var}")
-        return " + ".join(parts) if parts else "0"
+        return _univar_str(self.coords, self.algebra.name)
 
     def __repr__(self):
         return f"<Q {self}>"
 
 
-# -- quotient rings R[y]/(g) on power-basis coordinates ----------------------
+class EtaleAlgebra(PowerBasisAlgebra):
+    """A monogenic etale extension Q = k[y]/(g), g monic separable.
 
+    An element is a unit iff its multiplication matrix is invertible, and g
+    is separable iff g' is a unit of Q; both are checked by solving that
+    matrix against the coordinates of 1.  Q is relatively perfect over k
+    (its relative Frobenius Q tensor_{k,F} k -> Q is an isomorphism), so
+    the powers y^(pj) form a k-basis of Q and the Frobenius matrix is
+    invertible; digits are read through its inverse (`digit_matrix`),
+    computed once per algebra.
+    """
 
-def power_table(coeffs, zero):
-    """Coordinates of y^deg .. y^(2deg-2) modulo the monic g with
-    coefficients ``coeffs`` (constant term first)."""
-    deg = len(coeffs) - 1
-    row = [-c for c in coeffs[:-1]]
-    table = [tuple(row)]
-    for _ in range(deg - 2):
-        shifted = [zero] + row[:-1]
-        top = row[-1]
-        row = [a + top * b for a, b in zip(shifted, table[0])]
-        table.append(tuple(row))
-    return table
+    elem = EtaleElem
 
+    def __init__(self, params, coeffs, name="y"):
+        coeffs = tuple(coeffs)
+        if len(coeffs) < 2 or coeffs[-1] != params.one():
+            raise TypeMismatch("defining polynomial must be monic of degree >= 1")
+        super().__init__(coeffs, params.zero(), params.one(), (params, coeffs))
+        self.params = params
+        self.name = name
+        derivative = self.from_coords(
+            coeffs[i] * params.from_int(i) for i in range(1, len(coeffs))
+        )
+        if derivative._inverse_coords() is None:
+            raise TypeMismatch("defining polynomial is not separable")
+        self._frob = self._digit_matrix = None
 
-def quotient_mul(a, b, table, zero):
-    """Product of two coordinate vectors in R[y]/(g), reduced by the
-    power table of g."""
-    deg = len(a)
-    conv = [zero] * (2 * deg - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                conv[i + j] = conv[i + j] + x * y
-    out = conv[:deg]
-    for excess, row in enumerate(table):
-        c = conv[deg + excess] if deg + excess < len(conv) else zero
-        if not c.is_zero():
-            out = [x + c * y for x, y in zip(out, row)]
-    return tuple(out)
+    from_k = PowerBasisAlgebra.from_base
 
+    def frobenius_matrix(self):
+        """Column j holds the coordinates of (y^j)^p modulo g."""
+        if self._frob is None:
+            y = self.gen()
+            cols = [self.one().coords]
+            power = self.one()
+            yp = y**self.params.p
+            for _ in range(1, self.deg):
+                power = power * yp
+                cols.append(power.coords)
+            self._frob = cols
+        return self._frob
 
-def _univar_str(coeffs, name):
-    parts = []
-    for j in reversed(range(len(coeffs))):
-        c = coeffs[j]
-        if c.is_zero():
-            continue
-        if j == 0:
-            parts.append(str(c))
-        else:
-            var = name if j == 1 else f"{name}^{j}"
-            cs = str(c)
-            parts.append(var if cs == "1" else f"{cs}*{var}")
-    return " + ".join(parts) if parts else "0"
+    def digit_matrix(self):
+        """The inverse of the Frobenius matrix F: row j applied to the
+        coordinates of x gives the b_j with x = sum_j b_j y^(pj).  F is
+        invertible because Q is relatively perfect over k; one row
+        reduction of [F | I] finds its inverse, and a singular F raises
+        InternalError."""
+        if self._digit_matrix is None:
+            deg, zero, one = self.deg, self.params.zero(), self.params.one()
+            frob = self.frobenius_matrix()
+            augmented = [
+                [col[m] for col in frob] + [one if c == m else zero for c in range(deg)]
+                for m in range(deg)
+            ]
+            rows, pivots = linalg.row_reduce(augmented, zero)
+            if pivots != list(range(deg)):
+                raise InternalError("singular linear system")
+            self._digit_matrix = [row[deg:] for row in rows]
+        return self._digit_matrix
+
+    def __repr__(self):
+        return f"<etale k[{self.name}]/({_univar_str(self.coeffs, self.name)})>"
 
 
 # ---------------------------------------------------------------------------

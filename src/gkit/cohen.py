@@ -162,7 +162,7 @@ class CohenElem:
             return False
         if set(self.coords) != set(other.coords):
             return False
-        return all(self.ring.eq(x, other.coords[s]) for s, x in self.coords.items())
+        return all(x == other.coords[s] for s, x in self.coords.items())
 
     def __hash__(self):
         return hash((self.level, tuple(sorted(self.coords))))
@@ -189,7 +189,7 @@ def _single_vector(ring, level, j, i, x):
     n = level - 1
     entries = [ring.zero()] * level
     mono = ring.params.monomial(tuple(c * ring.char_p**j for c in i))
-    entries[j] = ring.mul(ring.twist(x, n), ring.scalar(mono))
+    entries[j] = ring.twist(x, n) * ring.scalar(mono)
     return WittVector(ring, entries)
 
 
@@ -527,7 +527,7 @@ def residue(c: CohenElem):
     acc = ring.zero()
     for (j, i), x in c.coords.items():
         if j == 0:
-            acc = ring.add(acc, ring.mul(ring.twist(x, n), ring.scalar(ring.params.monomial(i))))
+            acc = acc + ring.twist(x, n) * ring.scalar(ring.params.monomial(i))
     return acc
 
 

@@ -1,15 +1,15 @@
 """Sparse multivariate polynomials over a pluggable coefficient domain.
 
 A polynomial is a dict mapping exponent tuples (one entry per variable) to
-nonzero coefficients.  The same core drives four instantiations:
+nonzero coefficients.  The same core drives three instantiations:
 
 * ``FpDomain`` -- coefficients in the prime field F_p (ints in [0, p)),
 * ``ZmodDomain`` -- coefficients in Z/p^k (the Cohen-ring model over k and
   the ghost components of Witt vectors over k),
-* ``IntDomain`` -- integer coefficients (universal Witt structure polynomials),
 * ``ElemDomain`` -- coefficients given by Python objects with arithmetic
-  dunders (rational function fields, etale algebras, and the base rings
-  of scheme equations and of E; division needs a field).
+  dunders: plain ints (``ElemDomain(0, 1)``, the universal Witt structure
+  polynomials), rational function fields, etale algebras, and the base
+  rings of scheme equations and of E; division needs a field.
 
 ``format_sym_poly`` is the one printer, also for the numerators and
 denominators of elements of k.
@@ -67,32 +67,6 @@ class FpDomain(ZmodDomain):
         if a % self.p == 0:
             raise InternalError("inverse of 0 in F_p")
         return pow(a, self.p - 2, self.p)
-
-
-class IntDomain:
-    zero = 0
-    one = 1
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def eq(self, a, b):
-        return a == b
-
-    def __eq__(self, other):
-        return isinstance(other, IntDomain)
-
-    def __hash__(self):
-        return hash("IntDomain")
 
 
 class ElemDomain:

@@ -1,9 +1,10 @@
 """Coefficient-ring adapters.
 
-Witt-vector arithmetic is generic over a minimal ring interface: exact
-+, -, *, equality, integer embedding, and (for F_p-algebras) an entrywise
-p-th power.  Every adapter takes +, -, *, ** and == from the elements' own
-operators.  The same core then serves four coefficient rings:
+Witt-vector arithmetic is generic over elements with exact +, -, *, **
+and == of their own; an adapter supplies what an element cannot say about
+its ring: zero, one, the integer embedding, the zero test and (for
+F_p-algebras) an entrywise p-th power.  The same core then serves four
+coefficient rings:
 
 * plain integers (the ghost-component oracle),
 * the base field k,
@@ -20,25 +21,13 @@ over a symbolic ring no Witt vector is built outside that oracle.
 """
 
 import itertools
-import operator
 
 from .basefield import EtaleAlgebra, PrimeParams
 from .errors import TypeMismatch
 from .polys import ElemDomain, SparsePoly, format_sym_poly
 
 
-class _OperatorArithmetic:
-    """add, sub, neg, mul, pow and eq through the elements' own operators."""
-
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    neg = staticmethod(operator.neg)
-    mul = staticmethod(operator.mul)
-    pow = staticmethod(operator.pow)
-    eq = staticmethod(operator.eq)
-
-
-class IntegerRing(_OperatorArithmetic):
+class IntegerRing:
     """Plain integers; p is not a zero divisor, so ghost maps are faithful.
 
     The prime p is not intrinsic to Z, so the ring carries the p of the
@@ -91,7 +80,7 @@ class _AmbientRing:
         return out
 
 
-class _FieldElemRing(_OperatorArithmetic, _AmbientRing):
+class _FieldElemRing(_AmbientRing):
     """Shared body of k and its etale extensions: the elements carry their
     own arithmetic, Frobenius and digit expansion."""
 
@@ -166,7 +155,7 @@ class EtaleRing(_FieldElemRing):
         return f"<ring {self.algebra!r}>"
 
 
-class SymbolicRing(_OperatorArithmetic, _AmbientRing):
+class SymbolicRing(_AmbientRing):
     """k[z_1..z_e]: polynomials over k in named symbols.
 
     The monomial cap guards intermediate blowup during Greenberg expansion:

@@ -44,7 +44,7 @@ import threading
 from .basefield import BaseFieldElem
 from .errors import IndexOutOfRange, InternalError, LengthMismatch, ResourceLimit
 from .polys import (
-    IntDomain,
+    ElemDomain,
     SparsePoly,
     ZmodDomain,
     eval_terms,
@@ -55,7 +55,7 @@ from .polys import (
 )
 from .rings import FieldRing
 
-_INT = IntDomain()
+_INT = ElemDomain(0, 1)
 _cache = {}
 _cache_lock = threading.Lock()
 
@@ -190,7 +190,7 @@ class WittVector:
             return NotImplemented
         if self.ring != other.ring or len(self) != len(other):
             return False
-        return all(self.ring.eq(a, b) for a, b in zip(self.entries, other.entries))
+        return all(a == b for a, b in zip(self.entries, other.entries))
 
     def __hash__(self):
         return hash((len(self.entries),))
@@ -474,11 +474,8 @@ def ghost(r, w):
         raise IndexOutOfRange(f"ghost index {r} outside [0, {len(w) - 1}]")
     ring = w.ring
     p = _prime_of(ring)
-    acc = ring.zero()
-    for i in range(r + 1):
-        term = ring.mul(ring.from_int(p**i), ring.pow(w[i], p ** (r - i)))
-        acc = ring.add(acc, term)
-    return acc
+    terms = (ring.from_int(p**i) * w[i] ** (p ** (r - i)) for i in range(r + 1))
+    return sum(terms, ring.zero())
 
 
 def verschiebung(w, shifts=1):

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -6,6 +7,11 @@ from gkit.base import make_eisenstein, make_unramified
 from gkit.basefield import EtaleAlgebra, PrimeParams
 from gkit.cohen import CohenElem, cohen_from_int, cohen_neg
 from gkit.rings import EtaleRing, FieldRing
+
+# pytest imports gkit from src/ (pyproject's pythonpath); the CLI tests'
+# `python -m gkit.cli` children find it through PYTHONPATH
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -221,9 +221,7 @@ def test_criterion_7_point_bijection():
     ring = SymbolicRing(params, ["alpha", "beta", "c"])
     alpha, beta = ring.variable("alpha"), ring.variable("beta")
     centered = pres.equations[0].substitute({0: alpha, 1: beta + ring.one()})
-    assert centered == ring.add(
-        ring.mul(alpha, alpha), ring.mul(ring.scalar(t), ring.mul(beta, beta))
-    )
+    assert centered == alpha * alpha + ring.scalar(t) * (beta * beta)
     window = [zero, one, t, t + one]
     solutions = [
         (a, b) for a in window for b in window if pres.is_solution([a, b, zero])
@@ -275,7 +273,7 @@ def test_criterion_8_weil_restriction():
     t, one, zero = params.gen(0), params.one(), params.zero()
     ring = SymbolicRing(params, ["z"])
     z = ring.variable("z")
-    g = ring.add(ring.add(ring.mul(z, z), z), ring.scalar(t))
+    g = z * z + z + ring.scalar(t)
     symbols, equations, _ = G.weil_restrict(params, ["z"], [g])
     from gkit.rings import format_sym_poly
 

@@ -157,6 +157,27 @@ def test_canonical_lift_etale(etale_q, base_unram2, rng):
     assert got == q.gen() * q.gen()
 
 
+def test_lifts_over_different_g_neither_compare_nor_mix(params2, base_unram2):
+    """The lifts L1, L2 of y^2 + y + t and y^2 + y + (t + 1) over C_2(F_2(t))
+    are different algebras: their generators differ, do not multiply, and
+    hash by (base, Q) like equal lifts built twice."""
+    from gkit.basefield import EtaleAlgebra
+
+    t, one = params2.gen(0), params2.one()
+
+    def lift(c):
+        return B.canonical_lift(EtaleAlgebra(params2, [c, one, one]), base_unram2)
+
+    l1, l1_again, l2 = lift(t), lift(t), lift(t + one)
+    assert l1.gen() != l2.gen()
+    for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(TypeMismatch):
+            op(l1.gen(), l2.gen())
+    assert l1 == l1_again and l1 != l2 and l1 != l1.reduce_mod(1)
+    assert l1.gen() == l1_again.gen() and hash(l1.gen()) == hash(l1_again.gen())
+    assert len({l1.gen(), l1_again.gen(), l2.gen(), l1.one()}) == 3
+
+
 def test_canonical_lift_base_change(etale_q, base_unram2):
     lift = B.canonical_lift(etale_q, base_unram2)
     lower = lift.reduce_mod(1)
@@ -335,3 +356,80 @@ def test_lazy_peel_agrees_with_an_eager_peel(params3, base_unram2, base_eis_p3, 
         for r, f in zip(chain(x.reduce_mod(3), y.reduce_mod(3)), full):
             assert all(c._coords is not None for c in r.components)
             assert r == f.reduce_mod(3)
+
+
+# -- the canonical lifting of an etale Q against Cohen arithmetic over Q -----
+
+
+def _into_lift(c, lift):
+    """A Cohen element over Q = lift.q as an element of its canonical
+    lifting over C_level(k): slot (j, i) with coordinate x goes to
+    p^j * lift(x)^(p^(n-j)) * teich(t^i), lift(x) lifting x's k-coordinates."""
+    alg, params = lift.base.algebra(), lift.q.params
+    n = c.level - 1
+    acc = lift.zero()
+    for (j, i), x in c.coords.items():
+        x_lift = lift.from_coords(alg.teich(a) for a in x.coords)
+        t_i = alg.teich(params.monomial(i)).scale_p(j)
+        acc = acc + x_lift ** (params.p ** (n - j)) * lift.from_base(t_i)
+    return acc
+
+
+def _out_of_lift(z, ring, level):
+    """The canonical coordinates of an element of the lifting, position by
+    position: the graded coefficient j of each coordinate gives an element
+    of Q, whose (n - j)-fold digits are the slots at position j; their
+    image is subtracted before the next position."""
+    q, n = z.algebra.q, level - 1
+    coords = {}
+    for j in range(level):
+        residual = q.from_coords(c.graded_coefficient(j) for c in z.coords)
+        row = {(j, i): v for i, v in ring.digits_iter(residual, n - j).items()}
+        coords.update(row)
+        z = z - _into_lift(C.CohenElem(ring, level, row), z.algebra)
+    assert z.is_zero()
+    return C.CohenElem(ring, level, coords)
+
+
+def _lift_cases():
+    """(Q, level) pairs; g is given by its coefficients a*t_1 + b, as (a, b)
+    pairs from the constant term up."""
+    from gkit.basefield import EtaleAlgebra, PrimeParams
+
+    def algebra(p, d, coeffs):
+        params = PrimeParams(p, d)
+        t = params.gen(0)
+        return EtaleAlgebra(params, [params.from_int(a) * t + params.from_int(b)
+                                     for a, b in coeffs])
+
+    artin_schreier = [(1, 0), (0, 1), (0, 1)]  # y^2 + y + t
+    return [
+        pytest.param(algebra(2, 1, artin_schreier), 2, id="y2+y+t-p2-level2"),
+        pytest.param(algebra(2, 1, artin_schreier), 3, id="y2+y+t-p2-level3"),
+        pytest.param(algebra(3, 1, artin_schreier), 2, id="y2+y+t-p3-level2"),
+        pytest.param(algebra(3, 1, [(-1, 0), (0, -1), (0, 0), (0, 1)]), 2, id="y3-y-t-p3"),
+        pytest.param(algebra(2, 1, [(1, 0), (0, 1)]), 2, id="degree-1-y+t"),
+        pytest.param(algebra(2, 1, [(0, 0), (1, 1), (0, 1)]), 2, id="split-y2+(1+t)y"),
+        pytest.param(algebra(2, 2, artin_schreier), 2, id="y2+y+t1-d2"),
+    ]
+
+
+@pytest.mark.parametrize("q,level", _lift_cases())
+def test_lifted_etale_arithmetic_matches_cohen_arithmetic(q, level):
+    """Sums and products in the canonical lifting A[y]/(g~) over
+    A = C_level(k), read back as canonical coordinates, equal cohen_add and
+    cohen_mul over Q, which run through the Witt route."""
+    import random
+
+    from gkit.rings import EtaleRing
+    from gkit.sampling import rand_cohen
+
+    ring = EtaleRing(q)
+    lift = B.canonical_lift(q, B.make_unramified(q.params, level))
+    rng = random.Random(2026)
+    for _ in range(2):
+        a, b = (rand_cohen(rng, ring, level, density=0.5, max_deg=1) for _ in range(2))
+        la, lb = _into_lift(a, lift), _into_lift(b, lift)
+        assert _out_of_lift(la, ring, level) == a
+        assert _out_of_lift(la + lb, ring, level) == C.cohen_add(a, b)
+        assert _out_of_lift(la * lb, ring, level) == C.cohen_mul(a, b)

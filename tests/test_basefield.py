@@ -109,6 +109,18 @@ def test_etale_requires_separable(params2):
         EtaleAlgebra(params2, [t, zero, one])  # y^2 + t has zero derivative
 
 
+def test_etale_accepts_a_derivative_with_a_coefficient_divisible_by_p(params2):
+    """g = y^3 + y^2/t + 1/t over F_2(t) is separable: g' = 3y^2 + 2y/t = y^2
+    and g(0) = 1/t, so g' is a unit of Q.  The y-coefficient of g' is 2/t,
+    which must be the canonical zero of k and no pivot of the solve."""
+    t, one, zero = params2.gen(0), params2.one(), params2.zero()
+    q = EtaleAlgebra(params2, [one / t, zero, one / t, one])
+    y = q.gen()
+    assert y**3 == q.from_coords([one / t, zero, one / t])
+    assert (y * y) * (y * y).inverse() == q.one()
+    assert pbasis_expand(y).reconstruct() == y
+
+
 def test_etale_ops(etale_q, params2):
     t, one = params2.gen(0), params2.one()
     y = etale_q.gen()
@@ -121,6 +133,14 @@ def test_etale_ops(etale_q, params2):
     split = EtaleAlgebra(params2, [params2.zero(), one, one])  # y^2 + y
     with pytest.raises(NotAUnit):
         split.gen().inverse()
+
+
+def test_negative_powers_are_refused(etale_q, base_unram2):
+    """Power-basis and base-ring elements have no negative powers; the
+    repeated squaring used to loop forever on one."""
+    for x in (etale_q.gen(), base_unram2.algebra().one()):
+        with pytest.raises(TypeMismatch, match="negative power"):
+            x**-1
 
 
 def test_etale_degree_three_inverses(params3):

@@ -55,7 +55,7 @@ def test_worked_example_solutions(worked_example, params2, rng):
     shifted = pres.equations[0].substitute(
         {0: alpha, 1: beta + ring.one()}
     )
-    expected = ring.add(ring.mul(alpha, alpha), ring.mul(ring.scalar(params2.gen(0)), ring.mul(beta, beta)))
+    expected = alpha * alpha + ring.scalar(params2.gen(0)) * (beta * beta)
     assert shifted == expected
     # small search window: no further solutions
     t = params2.gen(0)
@@ -148,7 +148,7 @@ def test_weil_restrict_worked_example(params2):
     ring = SymbolicRing(params2, ["z"])
     z = ring.variable("z")
     t = params2.gen(0)
-    g = ring.add(ring.add(ring.mul(z, z), z), ring.scalar(t))
+    g = z * z + z + ring.scalar(t)
     symbols, equations, children = G.weil_restrict(params2, ["z"], [g])
     assert symbols == ["z.s0", "z.s1"]
     from gkit.rings import format_sym_poly
@@ -172,7 +172,7 @@ def test_weil_restrict_counit(params2, rng):
     ring = SymbolicRing(params2, ["z"])
     z = ring.variable("z")
     t = params2.gen(0)
-    g = ring.add(ring.add(ring.mul(z, z), z), ring.scalar(t))
+    g = z * z + z + ring.scalar(t)
     symbols, equations, _ = G.weil_restrict(params2, ["z"], [g])
     for _ in range(50):
         z0 = rand_field_elem(rng, params2)
@@ -248,7 +248,7 @@ def test_weil_restrict_etale_base_change(params2, etale_q):
     ring = SymbolicRing(params2, ["z"])
     z = ring.variable("z")
     t, one = params2.gen(0), params2.one()
-    g = ring.add(ring.add(ring.mul(z, z), z), ring.scalar(t))
+    g = z * z + z + ring.scalar(t)
     symbols, equations, _ = G.weil_restrict(params2, ["z"], [g])
     # over k there are no solutions on either side (small search window)
     window = [params2.zero(), one, t, t + one]

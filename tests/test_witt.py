@@ -4,7 +4,7 @@ from gkit import cohen as C
 from gkit import witt as W
 from gkit.basefield import PrimeParams
 from gkit.errors import IndexOutOfRange, LengthMismatch
-from gkit.polys import IntDomain, SparsePoly
+from gkit.polys import ElemDomain, SparsePoly
 from gkit.rings import FieldRing, IntegerRing, SymbolicRing
 from gkit.sampling import (
     rand_ambient_elem,
@@ -22,8 +22,8 @@ def _eval_every_term(poly, ring, values):
         term = ring.from_int(c)
         for x, e in zip(values, exps):
             if e:
-                term = ring.mul(term, ring.pow(x, e))
-        acc = ring.add(acc, term)
+                term = term * x**e
+        acc = acc + term
     return acc
 
 
@@ -36,7 +36,7 @@ def _with_zeros(rng, ring, N, sample):
 
 def test_structure_polys_small_cases():
     sp = W.structure_polys(2, 2)
-    dom = IntDomain()
+    dom = ElemDomain(0, 1)
     x0 = SparsePoly.variable(dom, 4, 0)
     x1 = SparsePoly.variable(dom, 4, 1)
     y0 = SparsePoly.variable(dom, 4, 2)
@@ -167,10 +167,8 @@ def test_vn_decompose(params2, k2, etale_ring, rng):
             y = rand_ambient_elem(rng, ring)
             total = ring.zero()
             for mono, yi in W.vn_decompose(y, N, ring):
-                total = ring.add(
-                    total, ring.mul(ring.scalar(mono), ring.pth_power(yi, N))
-                )
-            assert ring.eq(total, y)
+                total = total + ring.scalar(mono) * ring.pth_power(yi, N)
+            assert total == y
 
 
 def test_cache_is_shared():
@@ -187,7 +185,7 @@ def _symbolic_sampler(rng, params):
         c0 = rand_field_elem(rng, params, max_deg=1)
         c1 = rand_nonzero_field_elem(rng, params, max_deg=1)
         var = ring.variable(rng.choice(ring.symbols))
-        return ring.add(ring.scalar(c0), ring.mul(ring.scalar(c1), var))
+        return ring.scalar(c0) + ring.scalar(c1) * var
 
     return ring, sample
 
