@@ -157,13 +157,13 @@ class BaseAlgebra:
 
     Over k this is the base itself; over a symbolic polynomial ring it is
     the twisted algebra the Greenberg transform expands inside.  Both
-    compute in the Cohen model (cohen.py); an ambient outside it, such as
-    an etale extension, raises UnsupportedAlgebra (the lifted etale
-    extension `LiftedEtale` works over the k-algebra instead).
+    compute in the Cohen model (cohen.py).  Any other ambient, an etale
+    one included, raises UnsupportedAlgebra: over Q the lifted etale
+    extension `LiftedEtale` is the algebra to use.
     """
 
     def __init__(self, base: ArtinianBase, ring):
-        if not cohen.uses_model(ring):
+        if not isinstance(ring, (FieldRing, SymbolicRing)):
             raise UnsupportedAlgebra(f"no base algebra with components over {ring!r}")
         self.base = base
         self.ring = ring

@@ -29,7 +29,7 @@ import itertools
 
 from . import linalg
 from .errors import DivisionByZero, InternalError, NotAPthPower, NotAUnit, TypeMismatch
-from .polys import FpDomain, SparsePoly, exact_div, format_sym_poly, poly_frobenius, poly_gcd
+from .polys import FpDomain, SparsePoly, exact_div, format_sym_poly, poly_frobenius, poly_gcd, poly_lcm
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981  # first composite passing all bases
@@ -224,7 +224,7 @@ class BaseFieldElem:
     def __eq__(self, other):
         if not isinstance(other, BaseFieldElem):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self.den == other.den and self.params == other.params
 
     def __hash__(self):
         return hash((hash(self.num), hash(self.den)))
@@ -575,7 +575,7 @@ class EtaleAlgebra(PowerBasisAlgebra):
         )
         if derivative._inverse_coords() is None:
             raise TypeMismatch("defining polynomial is not separable")
-        self._frob = self._digit_matrix = None
+        self._frob = self._digit_matrix = self._integral = None
 
     from_k = PowerBasisAlgebra.from_base
 
@@ -610,6 +610,20 @@ class EtaleAlgebra(PowerBasisAlgebra):
                 raise InternalError("singular linear system")
             self._digit_matrix = [row[deg:] for row in rows]
         return self._digit_matrix
+
+    def integral_form(self):
+        """Y = L*y, L the lcm of g's denominators, is a root of the monic
+        g'(Y) = L^deg g(Y/L) over F_p[t]: the non-leading coefficients of
+        g' and the powers L^k for k < deg, computed once per algebra."""
+        if self._integral is None:
+            powers = [self.params._one_poly()]
+            lcm = poly_lcm([c.den for c in self.coeffs], powers[0])
+            for _ in range(self.deg):
+                powers.append(powers[-1] * lcm)
+            coeffs = tuple(exact_div(c.num * powers[self.deg - k], c.den)
+                           for k, c in enumerate(self.coeffs[:-1]))
+            self._integral = coeffs, tuple(powers[:-1])
+        return self._integral
 
     def __repr__(self):
         return f"<etale k[{self.name}]/({_univar_str(self.coeffs, self.name)})>"

@@ -411,9 +411,12 @@ class Session:
                 "equations": len(pres.equations),
             }
             if out:
-                with open(out, "w") as fh:
-                    json.dump(doc, fh, sort_keys=True, indent=1)
-                    fh.write("\n")
+                try:
+                    with open(out, "w") as fh:
+                        json.dump(doc, fh, sort_keys=True, indent=1)
+                        fh.write("\n")
+                except OSError as exc:
+                    raise TypeMismatch(f"--out {out!r} cannot be written: {exc.strerror}") from None
                 summary["written"] = out
             else:
                 summary["presentation"] = doc

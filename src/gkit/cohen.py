@@ -17,8 +17,8 @@ For a symbolic ambient k[z_1..z_s] the twist raises k-coefficients to the
 p^n-th power and fixes the symbols, so extraction tests digits of the
 coefficients only.
 
-Arithmetic over k and over k[z] does not go through Witt vectors.  Cohen's
-structure theorem (I. S. Cohen, Trans. AMS 59, 1946) gives
+Arithmetic over k, k[z] and etale Q does not go through Witt vectors.
+Cohen's structure theorem (I. S. Cohen, Trans. AMS 59, 1946) gives
 C_{n+1}(k) = (Z/p^{n+1})[T]_(p), T the lift of the p-basis, and in that
 model the canonical form reads
 
@@ -53,22 +53,24 @@ a unit's inverse has a closed form (`model_inverse`).  Over a ring with a
 monomial cap (the Greenberg transform's k[z]) the model's products and
 lift powers raise ResourceLimit past it.
 
-Etale ambients keep the Witt route (`to_witt`, one Witt op per slot or
-operand, `extract`), on the structure polynomials; `to_witt` and `extract`
-also serve the witt/cohen commands and the tests as the oracle for the
-model, and over k their Witt ops (one `witt_sum` per `to_witt`) run on the
-ghost engine of witt.py.
+Over an etale Q = k[y]/(g) the model is C_{n+1}(k)[Y]/(G): W_n of an
+etale map is etale (W. van der Kallen, Math. Z. 191, 1986; L. Illusie,
+Ann. Sci. ENS 12, 1979), so any monic lift of g presents C_{n+1}(Q).  With
+L the lcm of g's denominators, Y = L*y is a root of the monic
+g'(Y) = L^deg g(Y/L) over F_p[t], and G lifts g' coefficientwise; num lies
+in (Z/p^{n+1})[T, Y], reduced mod G after products and lift powers.  At
+position j the residual mod p over den^{p^n} is an element of Q whose
+(n-j)-fold digits are the coordinates; that row, re-entered at position 0
+of level n-j+1, is subtracted from the residual (a kept model over
+den^{p^j}) before dividing by p.  The den may grow there, since the
+digits of Q carry the denominators of its inverse Frobenius matrix.
+
+`to_witt` and `extract` serve the witt/cohen commands, and the tests as the
+model's oracle; over k their Witt ops run on the ghost engine of witt.py.
 """
 
 from .basefield import BaseFieldElem
-from .errors import (
-    InternalError,
-    LevelMismatch,
-    NotAPthPower,
-    NotInCohen,
-    NotInImage,
-    TypeMismatch,
-)
+from .errors import InternalError, LevelMismatch, NotInCohen, NotInImage, TypeMismatch
 from .polys import (
     SparsePoly,
     ZmodDomain,
@@ -80,17 +82,11 @@ from .polys import (
     reduce_coeffs,
     shift,
 )
-from .rings import FieldRing, SymbolicRing, multi_indices
-from .witt import (
-    WittVector,
-    p_times,
-    witt_add,
-    witt_mul,
-    witt_neg,
-    witt_sub,
-    witt_sum,
-    witt_zero,
-)
+from .rings import EtaleRing, FieldRing, SymbolicRing, multi_indices
+
+# witt_add, witt_mul and witt_neg are unused here, but perfbench/spans.py
+# times them under this module's names too
+from .witt import WittVector, witt_add, witt_mul, witt_neg, witt_sub, witt_sum, witt_zero
 
 
 class CohenElem:
@@ -158,11 +154,7 @@ class CohenElem:
     def __eq__(self, other):
         if not isinstance(other, CohenElem):
             return NotImplemented
-        if self.ring != other.ring or self.level != other.level:
-            return False
-        if set(self.coords) != set(other.coords):
-            return False
-        return all(x == other.coords[s] for s, x in self.coords.items())
+        return self.ring == other.ring and self.level == other.level and self.coords == other.coords
 
     def __hash__(self):
         return hash((self.level, tuple(sorted(self.coords))))
@@ -177,12 +169,7 @@ class CohenElem:
 def slot_indices(ring, level):
     """All (j, i) slots of C_level, position-major, indices lexicographic."""
     p, d = ring.char_p, ring.params.d
-    n = level - 1
-    out = []
-    for j in range(level):
-        for i in multi_indices(p ** (n - j), d):
-            out.append((j, i))
-    return out
+    return [(j, i) for j in range(level) for i in multi_indices(p ** (level - 1 - j), d)]
 
 
 def _single_vector(ring, level, j, i, x):
@@ -209,7 +196,8 @@ def extract(w: WittVector, max_position=None) -> CohenElem:
     forbidden digit, or a nonzero final residual, raises NotInCohen.
 
     ``max_position`` stops after that position, ignoring what remains above
-    it (used by exact p-division, where the top of the vector is free).
+    it (the tests' Witt route of exact p-division, where the top of the
+    vector is free).
     """
     ring = w.ring
     level = len(w)
@@ -232,8 +220,7 @@ def extract(w: WittVector, max_position=None) -> CohenElem:
             i = tuple(comp // p**j for comp in m)
             part[(j, i)] = cval
         coords.update(part)
-        part_elem = CohenElem(ring, level, part)
-        residual = witt_sub(residual, to_witt(part_elem))
+        residual = witt_sub(residual, to_witt(CohenElem(ring, level, part)))
         if not ring.is_zero(residual[j]):
             raise InternalError("digit extraction did not clear its position")
     if max_position is None and not residual.is_zero():
@@ -244,25 +231,49 @@ def extract(w: WittVector, max_position=None) -> CohenElem:
 # -- the model (Z/p^{n+1})[T]_(p) of C_{n+1}(k) ------------------------------
 
 
-def uses_model(ring):
-    """Whether Cohen elements over ``ring`` compute in the model."""
-    return isinstance(ring, (FieldRing, SymbolicRing))
-
-
 def _k_terms(ring, x):
-    """An ambient element as (symbol exponents, k-coefficient) pairs."""
-    return x.terms.items() if isinstance(ring, SymbolicRing) else (((), x),)
+    """An ambient element as (exponents after the T ones, k-coefficient)
+    pairs: the symbol exponents over k[z], the power of Y over Q."""
+    if isinstance(ring, SymbolicRing):
+        return x.terms.items()
+    if isinstance(ring, EtaleRing):
+        # to_models needs a common multiple of the dens, not lowest terms
+        powers = ring.algebra.integral_form()[1]
+        return [((k,), BaseFieldElem(ring.params, c.num, c.den * powers[k], normalize=False))
+                for k, c in enumerate(x.coords) if not c.is_zero()]
+    return (((), x),)
 
 
 def _model_nvars(ring):
     """The model's variables: the d lifted p-basis elements, then one per
-    symbol of a symbolic ambient."""
-    return ring.params.d + (ring.nvars if isinstance(ring, SymbolicRing) else 0)
+    symbol of a symbolic ambient, or Y over an etale Q."""
+    if isinstance(ring, SymbolicRing):
+        return ring.params.d + ring.nvars
+    return ring.params.d + (1 if isinstance(ring, EtaleRing) else 0)
+
+
+def _reduce_g(num, ring):
+    """num modulo G, the coefficientwise lift of g' (see
+    `EtaleAlgebra.integral_form`), over an etale Q, folding the rows of
+    Y-degree >= deg from the top down; num itself over k and k[z]."""
+    if not isinstance(ring, EtaleRing) or num.degree_in(ring.params.d) < ring.algebra.deg:
+        return num
+    d, dom, deg = ring.params.d, num.domain, ring.algebra.deg
+    rows, zero = {}, SparsePoly.zero(num.domain, d)
+    for e, c in num.terms.items():
+        rows.setdefault(e[d], {})[e[:d]] = c
+    rows = {m: SparsePoly(dom, d, terms) for m, terms in rows.items()}
+    for m in range(max(rows), deg - 1, -1):
+        row = rows.pop(m, zero)
+        for k, g in enumerate(ring.algebra.integral_form()[0]):
+            rows[m - deg + k] = rows.get(m - deg + k, zero) - row * lift_power(g, dom, 1)
+    terms = {e + (m,): c for m, row in rows.items() for e, c in row.terms.items()}
+    return SparsePoly(dom, d + 1, terms)
 
 
 def to_models(elems):
-    """Elements of one C_{n+1}(k) or C_{n+1}(k[z]) as numerators over one
-    shared den."""
+    """Elements of one C_{n+1}(k), C_{n+1}(k[z]) or C_{n+1}(Q) as
+    numerators over one shared den."""
     ring, level = elems[0].ring, elems[0].level
     params = ring.params
     p, n = params.p, level - 1
@@ -295,7 +306,8 @@ def to_models(elems):
                 for t, v in (a.num * cof * den_powers[j]).terms.items():
                     terms[t + e] = v
             w = SparsePoly(params.domain, nvars, terms)
-            num = num + shift(lift_power(w, dom, p ** (n - j), cap=cap), i, p**j)
+            power = _reduce_g(lift_power(w, dom, p ** (n - j), cap=cap), ring)
+            num = num + shift(power, i, p**j)
         nums.append(num)
     return nums, den
 
@@ -315,14 +327,19 @@ def model_inverse(num, den, ring, level):
 
 def _coordinate(ring, v, den):
     """The ambient element v / den, v an F_p polynomial in the model's
-    variables with the symbol exponents undone."""
+    variables with the symbol exponents undone; over Q, Y^k is L^k y^k."""
     params = ring.params
-    if not isinstance(ring, SymbolicRing):
+    if isinstance(ring, FieldRing):
         return BaseFieldElem(params, v, den)
     d = params.d
     parts = {}
     for e, c in v.terms.items():
         parts.setdefault(e[d:], {})[e[:d]] = c
+    if isinstance(ring, EtaleRing):
+        powers = ring.algebra.integral_form()[1]
+        return ring.algebra.from_coords(
+            BaseFieldElem(params, SparsePoly(params.domain, d, parts.get((k,), {})) * lk, den)
+            for k, lk in enumerate(powers))
     coeffs = {
         e: BaseFieldElem(params, SparsePoly(params.domain, d, terms), den)
         for e, terms in parts.items()
@@ -337,7 +354,7 @@ def from_model(num, den, ring, level, top=None):
     p^{n-j}: then num is no element's model."""
     params = ring.params
     p, n, d = params.p, level - 1, params.d
-    symbolic = num.nvars > d
+    symbolic = isinstance(ring, SymbolicRing)
     top = n if top is None else top
     model = num, den
     complete = top == n and num.domain.q == p**level
@@ -347,22 +364,31 @@ def from_model(num, den, ring, level, top=None):
         if num.is_zero():
             break
         q = p ** (n - j)
-        parts = {}
-        for e, c in num.terms.items():
-            c %= p
-            if c:
-                if symbolic and any(a % q for a in e[d:]):
-                    raise NotInCohen(f"symbol exponents {e[d:]} at position {j} "
-                                     f"are not multiples of {q}")
-                m = tuple(a % q for a in e[:d])
-                parts.setdefault(m, {})[tuple(a // q for a in e)] = c
-        cleared = num
-        for m, terms in parts.items():
-            v = SparsePoly(params.domain, num.nvars, terms)
-            coords[(j, m)] = _coordinate(ring, v, den_j)
-            if j < top:
-                lift = lift_power(v, num.domain, q, cap=ring.monomial_cap)
-                cleared = cleared - shift(lift, m, 1)
+        if isinstance(ring, EtaleRing):
+            x = _coordinate(ring, reduce_coeffs(num, params.domain), den_j.pow(q))
+            row = ring.digits_iter(x, n - j)
+            coords.update(((j, i), v) for i, v in row.items())
+            if j < top:  # the residual less the row, both at level n - j + 1
+                row = CohenElem(ring, n - j + 1, {(0, i): v for i, v in row.items()})
+                (num, sub), den_j = to_models([CohenElem.kept(ring, n - j + 1, num, den_j), row])
+                cleared = num - reduce_coeffs(sub, num.domain)
+        else:
+            parts = {}
+            for e, c in num.terms.items():
+                c %= p
+                if c:
+                    if symbolic and any(a % q for a in e[d:]):
+                        raise NotInCohen(f"symbol exponents {e[d:]} at position {j} "
+                                         f"are not multiples of {q}")
+                    m = tuple(a % q for a in e[:d])
+                    parts.setdefault(m, {})[tuple(a // q for a in e)] = c
+            cleared = num
+            for m, terms in parts.items():
+                v = SparsePoly(params.domain, num.nvars, terms)
+                coords[(j, m)] = _coordinate(ring, v, den_j)
+                if j < top:
+                    lift = lift_power(v, num.domain, q, cap=ring.monomial_cap)
+                    cleared = cleared - shift(lift, m, 1)
         if j < top:
             num = div_p(cleared, p, "digit extraction did not clear its position")
             den_j = den_j.pow(p)
@@ -372,42 +398,28 @@ def from_model(num, den, ring, level, top=None):
     return c
 
 
-def _closure_op(op, *args):
-    try:
-        return op(*args)
-    except NotInCohen as exc:
-        raise InternalError(f"Cohen subring closure violated: {exc}") from exc
-
-
 def cohen_add(a: CohenElem, b: CohenElem) -> CohenElem:
     _check_pair(a, b)
-    if uses_model(a.ring):
-        (x, y), den = to_models([a, b])
-        return from_model(x + y, den, a.ring, a.level)
-    return _closure_op(lambda: extract(witt_add(to_witt(a), to_witt(b))))
+    (x, y), den = to_models([a, b])
+    return from_model(x + y, den, a.ring, a.level)
 
 
 def cohen_sub(a: CohenElem, b: CohenElem) -> CohenElem:
     _check_pair(a, b)
-    if uses_model(a.ring):
-        (x, y), den = to_models([a, b])
-        return from_model(x - y, den, a.ring, a.level)
-    return _closure_op(lambda: extract(witt_sub(to_witt(a), to_witt(b))))
+    (x, y), den = to_models([a, b])
+    return from_model(x - y, den, a.ring, a.level)
 
 
 def cohen_mul(a: CohenElem, b: CohenElem) -> CohenElem:
     _check_pair(a, b)
-    if uses_model(a.ring):
-        (x, y), den = to_models([a, b])
-        return from_model(x.mul(y, a.ring.monomial_cap), den * den, a.ring, a.level)
-    return _closure_op(lambda: extract(witt_mul(to_witt(a), to_witt(b))))
+    (x, y), den = to_models([a, b])
+    prod = _reduce_g(x.mul(y, a.ring.monomial_cap), a.ring)
+    return from_model(prod, den * den, a.ring, a.level)
 
 
 def cohen_neg(a: CohenElem) -> CohenElem:
-    if uses_model(a.ring):
-        (x,), den = to_models([a])
-        return from_model(-x, den, a.ring, a.level)
-    return _closure_op(lambda: extract(witt_neg(to_witt(a))))
+    (x,), den = to_models([a])
+    return from_model(-x, den, a.ring, a.level)
 
 
 def cohen_from_int(ring, level, value):
@@ -442,35 +454,19 @@ def ver_embed(c: CohenElem, target_level) -> CohenElem:
 
 
 def p_pow_times(c: CohenElem, exponent=1) -> CohenElem:
-    """p^exponent * c, computed in the model or at the vector level."""
-    if uses_model(c.ring):
-        (x,), den = to_models([c])
-        return from_model(shift(x, (), c.ring.char_p**exponent), den, c.ring, c.level)
-    w = to_witt(c)
-    for _ in range(exponent):
-        w = p_times(w)
-    return _closure_op(lambda: extract(w))
+    """p^exponent * c: the model's numerator times p^exponent."""
+    (x,), den = to_models([c])
+    return from_model(shift(x, (), c.ring.char_p**exponent), den, c.ring, c.level)
 
 
 def solve_p_division(target: CohenElem, exponent) -> CohenElem:
     """Find c with p^exponent * c = target, target supported at positions
     >= exponent (the Verschiebung-embedded copy of the lower level).
 
-    Multiplication by p^e shifts the Witt vector and raises entries to the
-    p^e-th power, so the bottom n-e+1 entries of any solution are forced:
-    entry j is the e-fold p-th root of target's entry j+e.  Extracting
-    canonical coordinates of that partial vector through position n-e (the
-    entries above are free and set to zero slot-wise) yields a member of
-    the subring whose p^e-multiple is exactly the target; the final
-    verification multiplies back.
-
-    Requires a relatively perfect ambient (k or etale): the p-th roots must
-    exist and be unique.
-
-    Over k and k[z] the model divides the numerator by p^e instead, peels
-    positions 0..n-e, and checks p^e * c = target in the model; over k[z]
-    the peel refuses a quotient whose symbols occur to powers no element
-    has, such as target x_1(0) = t*u at level 2.
+    The model divides the numerator by p^e, peels positions 0..n-e (the
+    positions above are free and left zero), and checks p^e * c = target
+    in the model.  Over k[z] the peel refuses a quotient whose symbols
+    occur to powers no element has, such as target x_1(0) = t*u at level 2.
     """
     ring = target.ring
     level = target.level
@@ -482,40 +478,21 @@ def solve_p_division(target: CohenElem, exponent) -> CohenElem:
         raise NotInImage(f"target has support below position {e}")
     if e == 0:
         return target
-    if uses_model(ring):
-        (num,), den = to_models([target])
-        quot = num
-        for _ in range(e):
-            quot = div_p(quot, ring.char_p, "p-division of a numerator not divisible by p")
-        try:
-            c = from_model(quot, den, ring, level, top=n - e)
-        except NotInCohen as exc:
-            raise NotInImage(f"target is not p^{e} times an element: {exc}") from None
-        (back,), c_den = to_models([c])
-        back = shift(back, (), ring.char_p**e)
-        if c_den != den:  # compare over lcm(c_den, den)
-            g, cap = poly_gcd(c_den, den), ring.monomial_cap
-            lift = lambda f: lift_power(exact_div(f, g), num.domain, ring.char_p**n, num.nvars, cap)
-            back, num = back.mul(lift(den), cap), num.mul(lift(c_den), cap)
-        if back != num:
-            raise InternalError("p-division verification failed")
-        return c
-    w = to_witt(target)
-    forced = []
-    for j in range(level - e):
-        entry = w[j + e]
-        for _ in range(e):
-            try:
-                entry = entry.pth_root()
-            except NotAPthPower as exc:
-                raise NotInImage(f"entry {j + e} is not a p^{e}-th power: {exc}")
-        forced.append(entry)
-    padded = WittVector(ring, tuple(forced) + (ring.zero(),) * e)
-    c = extract(padded, max_position=level - 1 - e)
-    check = to_witt(c)
+    (num,), den = to_models([target])
+    quot = num
     for _ in range(e):
-        check = p_times(check)
-    if check != w:
+        quot = div_p(quot, ring.char_p, "p-division of a numerator not divisible by p")
+    try:
+        c = from_model(quot, den, ring, level, top=n - e)
+    except NotInCohen as exc:
+        raise NotInImage(f"target is not p^{e} times an element: {exc}") from None
+    (back,), c_den = to_models([c])
+    back = shift(back, (), ring.char_p**e)
+    if c_den != den:  # compare over lcm(c_den, den)
+        g, cap = poly_gcd(c_den, den), ring.monomial_cap
+        lift = lambda f: lift_power(exact_div(f, g), num.domain, ring.char_p**n, num.nvars, cap)
+        back, num = back.mul(lift(den), cap), num.mul(lift(c_den), cap)
+    if back != num:
         raise InternalError("p-division verification failed")
     return c
 
@@ -542,25 +519,22 @@ def teich_lift(ring, level, value) -> CohenElem:
 
 
 def truncate_level(c: CohenElem, target_level) -> CohenElem:
-    """The quotient map C_{n+1} -> C_{m+1} (m <= n): truncate the Witt
-    vector and re-extract at the lower level."""
+    """The quotient map C_{n+1} -> C_{m+1} (m <= n): the model modulo
+    p^{m+1}, peeled at the lower level."""
     if target_level > c.level:
         raise LevelMismatch("truncation target exceeds level")
     if target_level == c.level:
         return c
-    if uses_model(c.ring):
-        # T maps to T: reduce num mod p^L, and lift(den)^{p^n} is
-        # lift(den^{p^{n-L+1}})^{p^{L-1}} modulo p^L; a symbol's w becomes
-        # w^s, s = p^{n-L+1}, since z = w^{p^n} = (w^s)^{p^{L-1}}
-        (num,), den = to_models([c])
-        p, d = c.ring.char_p, c.ring.params.d
-        s = p ** (c.level - target_level)
-        low = reduce_coeffs(num, ZmodDomain(p**target_level))
-        if low.nvars > d:
-            if any(a % s for e in low.terms for a in e[d:]):
-                raise InternalError(f"symbol exponents are not multiples of {s}")
-            terms = {e[:d] + tuple(a // s for a in e[d:]): v for e, v in low.terms.items()}
-            low = SparsePoly(low.domain, low.nvars, terms)
-        return from_model(low, den.pow(s), c.ring, target_level)
-    w = to_witt(c).truncate(target_level)
-    return _closure_op(lambda: extract(w))
+    # T and Y map to themselves: reduce num mod p^L, and lift(den)^{p^n} is
+    # lift(den^{p^{n-L+1}})^{p^{L-1}} modulo p^L; a symbol's w becomes
+    # w^s, s = p^{n-L+1}, since z = w^{p^n} = (w^s)^{p^{L-1}}
+    (num,), den = to_models([c])
+    p, d = c.ring.char_p, c.ring.params.d
+    s = p ** (c.level - target_level)
+    low = reduce_coeffs(num, ZmodDomain(p**target_level))
+    if isinstance(c.ring, SymbolicRing):
+        if any(a % s for e in low.terms for a in e[d:]):
+            raise InternalError(f"symbol exponents are not multiples of {s}")
+        terms = {e[:d] + tuple(a // s for a in e[d:]): v for e, v in low.terms.items()}
+        low = SparsePoly(low.domain, low.nvars, terms)
+    return from_model(low, den.pow(s), c.ring, target_level)

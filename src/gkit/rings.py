@@ -13,11 +13,11 @@ coefficient rings:
   generic point).
 
 Ambient rings used by the Cohen-ring layer additionally expose the n-fold
-Frobenius twist and digit expansion, which `cohen.to_witt`/`extract` use;
-for a symbolic ring the twist raises k-coefficients to the p^n-th power
-and fixes the symbols.  Cohen arithmetic over k and over a symbolic ring
-runs in the model of cohen.py, which reads the ring's ``monomial_cap``;
-over a symbolic ring no Witt vector is built outside that oracle.
+Frobenius twist and digit expansion (for `cohen.to_witt`/`extract`, and
+digits for the model's peel over an etale ring); a symbolic ring's twist
+raises k-coefficients to the p^n-th power and fixes the symbols.  Cohen
+arithmetic over the three ambients runs in the model of cohen.py, which
+reads the ring's ``monomial_cap``, and builds no Witt vector.
 """
 
 import itertools

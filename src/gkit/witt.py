@@ -212,9 +212,10 @@ def witt_zero(ring, N):
 
 
 def teichmuller(ring, x, N):
-    """The multiplicative representative (x, 0, .., 0)."""
+    """The multiplicative representative (x, 0, .., 0), in the envelope."""
     if N < 1:
         raise LengthMismatch(f"Teichmuller length {N} is below 1")
+    _check_envelope(_prime_of(ring), N)
     return WittVector(ring, (x,) + (ring.zero(),) * (N - 1))
 
 

@@ -403,10 +403,15 @@ def _lift_cases():
                                      for a, b in coeffs])
 
     artin_schreier = [(1, 0), (0, 1), (0, 1)]  # y^2 + y + t
+    params = PrimeParams(2, 1)
+    t, one = params.gen(0), params.one()
+    fractional = EtaleAlgebra(params, [t, one / (t + one), one])  # y^2 + y/(t+1) + t
     return [
         pytest.param(algebra(2, 1, artin_schreier), 2, id="y2+y+t-p2-level2"),
         pytest.param(algebra(2, 1, artin_schreier), 3, id="y2+y+t-p2-level3"),
         pytest.param(algebra(3, 1, artin_schreier), 2, id="y2+y+t-p3-level2"),
+        pytest.param(algebra(3, 1, artin_schreier), 3, id="y2+y+t-p3-level3"),
+        pytest.param(fractional, 3, id="y2+y/(t+1)+t-level3"),
         pytest.param(algebra(3, 1, [(-1, 0), (0, -1), (0, 0), (0, 1)]), 2, id="y3-y-t-p3"),
         pytest.param(algebra(2, 1, [(1, 0), (0, 1)]), 2, id="degree-1-y+t"),
         pytest.param(algebra(2, 1, [(0, 0), (1, 1), (0, 1)]), 2, id="split-y2+(1+t)y"),
@@ -418,7 +423,7 @@ def _lift_cases():
 def test_lifted_etale_arithmetic_matches_cohen_arithmetic(q, level):
     """Sums and products in the canonical lifting A[y]/(g~) over
     A = C_level(k), read back as canonical coordinates, equal cohen_add and
-    cohen_mul over Q, which run through the Witt route."""
+    cohen_mul over Q, which run in the Cohen model C_level(k)[Y]/(G)."""
     import random
 
     from gkit.rings import EtaleRing

@@ -363,3 +363,14 @@ def test_etale_digits_at_p31_are_fast():
     assert pbasis_expand(x).reconstruct() == x
     assert pth_root(x.pth_power()) == x
     assert time.monotonic() - t0 < 2.0
+
+
+def test_elements_of_different_fields_differ():
+    """Equal numerators and denominators over different (p, d, names) are
+    different elements, as their product's TypeMismatch says."""
+    t = PrimeParams(2, 1).gen(0)
+    assert t == PrimeParams(2, 1).gen(0)
+    assert t != PrimeParams(3, 1).gen(0)
+    assert t != PrimeParams(2, 1, ["s"]).gen(0)
+    with pytest.raises(TypeMismatch):
+        t * PrimeParams(3, 1).gen(0)

@@ -108,6 +108,22 @@ def test_teich_length_below_one_is_a_record():
     assert [r["error"]["type"] for r in session.results] == ["LengthMismatch"]
 
 
+def test_teich_length_past_the_envelope_is_refused_like_the_ops():
+    session = run_script(
+        "base { p = 2; pbasis = [t]; }\n"
+        "witt teich t --len 1000000000000;\n"
+        "witt teich t --len 6;\n"
+        "witt add (t,0,0,0,0,0) (t,0,0,0,0,0);\n"
+        "witt teich t --len 5;\n",
+        SessionConfig(),
+    )
+    huge, teich, add, ok = session.results
+    assert huge["error"]["type"] == "ResourceLimit"
+    assert "p = 2, N = 1000000000000" in huge["error"]["message"]
+    assert teich["error"] == add["error"]
+    assert ok["result"] == ["t", "0", "0", "0", "0"]
+
+
 def test_cohen_commands_and_error_exit(tmp_path):
     path = tmp_path / "cohen.gk"
     path.write_text(
@@ -181,6 +197,23 @@ def test_greenberg_out_file(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(out_path.read_text())
     assert doc["stage"] == 0 and len(doc["symbols"]) == 3
+
+
+def test_greenberg_out_to_a_missing_directory_is_a_record(tmp_path):
+    script_path = tmp_path / "s.gk"
+    out_path = tmp_path / "missing" / "pres.json"
+    script_path.write_text(
+        WORKED_SCRIPT.replace(
+            "greenberg X --stage 0;", f'greenberg X --stage 0 --out "{out_path}";'
+        )
+    )
+    proc = run_cli(["--script", str(script_path)])
+    assert proc.returncode == 1, proc.stderr
+    greenberg, push = records_of(proc.stdout)
+    assert greenberg["error"]["type"] == "TypeMismatch"
+    assert "--out" in greenberg["error"]["message"]
+    assert "No such file or directory" in greenberg["error"]["message"]
+    assert push["status"] == "ok"
 
 
 def test_byte_identical_runs(tmp_path):

@@ -68,7 +68,7 @@ def test_etale_ambient_roundtrip(etale_ring, rng):
 
 @pytest.mark.parametrize("level,triples", [(2, 8), (3, 2)])
 def test_etale_ambient_ring_ops(etale_ring, level, triples, rng):
-    """The Witt route of the ring ops, which only etale ambients take."""
+    """Ring identities of the model over an etale ambient."""
     for _ in range(triples):
         a, b, c = (rand_cohen(rng, etale_ring, level) for _ in range(3))
         assert C.cohen_sub(C.cohen_add(a, b), b) == a
@@ -411,7 +411,6 @@ def _witt_p_division(target, e):
 @pytest.mark.parametrize("p,d,level", SYMBOLIC_CASES)
 def test_symbolic_model_matches_witt_route(p, d, level, nsyms):
     ring, draws = _symbolic_draws(p, d, level, nsyms)
-    assert C.uses_model(ring)
     tw = C.to_witt
     for a, b in draws:
         assert C.cohen_add(a, b) == C.extract(W.witt_add(tw(a), tw(b)))
@@ -447,3 +446,98 @@ def test_symbolic_p_division_outside_the_image(params2):
     got = C.solve_p_division(target, 1)
     assert got == C.CohenElem.single(ring, 2, 0, (1,), u)
     assert C.p_pow_times(got, 1) == target
+
+
+# -- the model over etale Q against the Witt route ---------------------------
+#
+# Over Q = k[y]/(g) the model is C_{n+1}(k)[Y]/(G), Y = L*y with L the lcm of
+# g's denominators; these tests compare each operation with the Witt route
+# kept here: extract(witt_op(to_witt(.), to_witt(.))).  The last three cases
+# have L != 1.
+
+
+def _etale_case(p, d, coeffs):
+    """Q = k[y]/(g), coeffs(t, one, zero) giving g's coefficients from the
+    constant term up."""
+    from gkit.basefield import EtaleAlgebra, PrimeParams
+    from gkit.rings import EtaleRing
+
+    params = PrimeParams(p, d)
+    g = coeffs(params.gen(0), params.one(), params.zero())
+    return EtaleRing(EtaleAlgebra(params, g))
+
+
+ETALE_CASES = [
+    pytest.param((2, 1, lambda t, o, z: [t, o, o]), 2, id="y2+y+t-p2-level2"),
+    pytest.param((2, 1, lambda t, o, z: [t, o, o]), 3, id="y2+y+t-p2-level3"),
+    pytest.param((3, 1, lambda t, o, z: [-t, -o, z, o]), 2, id="y3-y-t-p3"),
+    pytest.param((2, 2, lambda t, o, z: [t, o, o]), 2, id="y2+y+t1-d2"),
+    pytest.param((2, 1, lambda t, o, z: [t, o]), 2, id="degree-1-y+t"),
+    pytest.param((2, 1, lambda t, o, z: [z, o + t, o]), 2, id="split-y2+(1+t)y"),
+    pytest.param((2, 1, lambda t, o, z: [o / t, z, o / t, o]), 2, id="y3+y2/t+1/t-level2"),
+    pytest.param((2, 1, lambda t, o, z: [o / t, z, o / t, o]), 3, id="y3+y2/t+1/t-level3"),
+    pytest.param((2, 1, lambda t, o, z: [t, o / (t + o), o]), 3, id="y2+y/(t+1)+t-level3"),
+]
+
+
+def _etale_draws(case, level, pairs=2):
+    """Seeded pairs over Q; the first element always has a coordinate with
+    a denominator that is not 1."""
+    import random
+
+    from gkit.sampling import rand_nonzero_field_elem
+
+    ring = _etale_case(*case)
+    q, params = ring.algebra, ring.params
+    rng = random.Random(level + sum(map(ord, repr(q))))
+    out = []
+    for _ in range(pairs):
+        a = rand_cohen(rng, ring, level, density=0.4, max_deg=1)
+        coords = dict(a.coords)
+        frac = rand_nonzero_field_elem(rng, params, max_deg=1) / (params.gen(0) + params.one())
+        coords[rng.choice(C.slot_indices(ring, level))] = q.from_coords([frac] * q.deg)
+        b = rand_cohen(rng, ring, level, density=0.4, max_deg=1)
+        out.append((C.CohenElem(ring, level, coords), b))
+    return ring, out
+
+
+@pytest.mark.parametrize("case,level", ETALE_CASES)
+def test_etale_model_ring_ops_match_witt_route(case, level):
+    ring, draws = _etale_draws(case, level)
+    params = ring.params
+    t, one = params.gen(0), params.one()
+    # coprime to t and to t + 1
+    x = ring.algebra.from_k((t * t + t + one).inverse())
+    square = C.cohen_mul(*[C.CohenElem.single(ring, level, level - 1, (0,) * params.d, x)] * 2)
+    tw = C.to_witt
+    for a, b in draws:
+        assert C.cohen_add(a, b) == C.extract(W.witt_add(tw(a), tw(b)))
+        assert C.cohen_sub(a, b) == C.extract(W.witt_sub(tw(a), tw(b)))
+        prod = C.cohen_mul(a, b)
+        assert prod == C.extract(W.witt_mul(tw(a), tw(b)))
+        assert C.cohen_neg(a) == C.extract(W.witt_neg(tw(a)))
+        # results carry the model they were peeled from into the next op,
+        # here over two different dens
+        assert prod.model[1] != square.model[1]
+        assert C.cohen_add(prod, square) == C.extract(W.witt_add(tw(prod), tw(square)))
+
+
+@pytest.mark.parametrize("case,level", ETALE_CASES)
+def test_etale_model_p_division_and_truncation_match_witt_route(case, level):
+    ring, draws = _etale_draws(case, level)
+    tw = C.to_witt
+
+    def p_times(w, e):
+        for _ in range(e):
+            w = W.p_times(w)
+        return w
+
+    for a, _ in draws:
+        for e in range(1, level):
+            assert C.p_pow_times(a, e) == C.extract(p_times(tw(a), e))
+            target = C.CohenElem(ring, level, {s: x for s, x in a.coords.items() if s[0] >= e})
+            got = C.solve_p_division(target, e)
+            assert p_times(tw(got), e) == tw(target)
+            assert C.p_pow_times(got, e) == target
+        for low in range(1, level):
+            assert C.truncate_level(a, low) == C.extract(C.to_witt(a).truncate(low))
