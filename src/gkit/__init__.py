@@ -54,7 +54,6 @@ from .witt import (
     structure_polys,
     teichmuller,
     verschiebung,
-    vn_decompose,
     witt_add,
     witt_mul,
     witt_neg,

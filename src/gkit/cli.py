@@ -296,9 +296,12 @@ class Session:
 
     def presentation(self, scheme_name, stage):
         """Stage s of a scheme's transform, each stage built once from the
-        one below it, so stage 0 is expanded once per scheme."""
+        one below it, so stage 0 is expanded once per scheme.  A stage
+        past the symbol cap is refused before any stage is built."""
         stages = self._presentations.setdefault(scheme_name, [])
         caps = self.config.monomial_cap, self.config.symbol_cap
+        if len(stages) <= stage:
+            greenberg.check_stage_symbols(self.scheme(scheme_name), stage, caps[1])
         if not stages:
             stages.append(greenberg.greenberg_transform(self.scheme(scheme_name), 0, *caps))
         while len(stages) <= stage:

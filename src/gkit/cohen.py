@@ -32,6 +32,9 @@ den = lcm of the coordinates' denominators, slot (j, i) adds
 p^j * T^i * lift(x * den^{p^j})^{p^{n-j}} to num.  `to_models` is the one
 way into the model: it brings all operands of an operation over one shared
 den (a kept model is multiplied by the lift of its cofactor to the p^n).
+The ring adapters of rings.py write a coordinate as an F_p numerator over
+its den (`fraction`) and read one back (`from_fraction`), the same
+encoding the Witt ghost engine uses.
 
 A symbolic coordinate x(z) enters the same way after the substitution
 z = w^{p^n}: the twist of x is X(w)^{p^n}, X being x with each z renamed w
@@ -55,21 +58,20 @@ lift powers raise ResourceLimit past it.
 
 Over an etale Q = k[y]/(g) the model is C_{n+1}(k)[Y]/(G): W_n of an
 etale map is etale (W. van der Kallen, Math. Z. 191, 1986; L. Illusie,
-Ann. Sci. ENS 12, 1979), so any monic lift of g presents C_{n+1}(Q).  With
-L the lcm of g's denominators, Y = L*y is a root of the monic
-g'(Y) = L^deg g(Y/L) over F_p[t], and G lifts g' coefficientwise; num lies
-in (Z/p^{n+1})[T, Y], reduced mod G after products and lift powers.  At
-position j the residual mod p over den^{p^n} is an element of Q whose
-(n-j)-fold digits are the coordinates; that row, re-entered at position 0
-of level n-j+1, is subtracted from the residual (a kept model over
-den^{p^j}) before dividing by p.  The den may grow there, since the
-digits of Q carry the denominators of its inverse Frobenius matrix.
+Ann. Sci. ENS 12, 1979), so any monic lift of g presents C_{n+1}(Q).  Y is
+the integral generator L*y and G the coefficientwise lift of its monic
+minimal polynomial (`EtaleRing.reduce_model` reduces by it after products
+and lift powers).  At position j the residual mod p over den^{p^n} is an
+element of Q whose (n-j)-fold digits are the coordinates; that row,
+re-entered at position 0 of level n-j+1, is subtracted from the residual
+(a kept model over den^{p^j}) before dividing by p.  The den may grow
+there, since the digits of Q carry the denominators of its inverse
+Frobenius matrix.
 
 `to_witt` and `extract` serve the witt/cohen commands, and the tests as the
-model's oracle; over k their Witt ops run on the ghost engine of witt.py.
+model's oracle; their Witt ops run on the ghost engine of witt.py.
 """
 
-from .basefield import BaseFieldElem
 from .errors import InternalError, LevelMismatch, NotInCohen, NotInImage, TypeMismatch
 from .polys import (
     SparsePoly,
@@ -77,6 +79,7 @@ from .polys import (
     div_p,
     exact_div,
     lift_power,
+    pad,
     poly_gcd,
     poly_lcm,
     reduce_coeffs,
@@ -231,46 +234,6 @@ def extract(w: WittVector, max_position=None) -> CohenElem:
 # -- the model (Z/p^{n+1})[T]_(p) of C_{n+1}(k) ------------------------------
 
 
-def _k_terms(ring, x):
-    """An ambient element as (exponents after the T ones, k-coefficient)
-    pairs: the symbol exponents over k[z], the power of Y over Q."""
-    if isinstance(ring, SymbolicRing):
-        return x.terms.items()
-    if isinstance(ring, EtaleRing):
-        # to_models needs a common multiple of the dens, not lowest terms
-        powers = ring.algebra.integral_form()[1]
-        return [((k,), BaseFieldElem(ring.params, c.num, c.den * powers[k], normalize=False))
-                for k, c in enumerate(x.coords) if not c.is_zero()]
-    return (((), x),)
-
-
-def _model_nvars(ring):
-    """The model's variables: the d lifted p-basis elements, then one per
-    symbol of a symbolic ambient, or Y over an etale Q."""
-    if isinstance(ring, SymbolicRing):
-        return ring.params.d + ring.nvars
-    return ring.params.d + (1 if isinstance(ring, EtaleRing) else 0)
-
-
-def _reduce_g(num, ring):
-    """num modulo G, the coefficientwise lift of g' (see
-    `EtaleAlgebra.integral_form`), over an etale Q, folding the rows of
-    Y-degree >= deg from the top down; num itself over k and k[z]."""
-    if not isinstance(ring, EtaleRing) or num.degree_in(ring.params.d) < ring.algebra.deg:
-        return num
-    d, dom, deg = ring.params.d, num.domain, ring.algebra.deg
-    rows, zero = {}, SparsePoly.zero(num.domain, d)
-    for e, c in num.terms.items():
-        rows.setdefault(e[d], {})[e[:d]] = c
-    rows = {m: SparsePoly(dom, d, terms) for m, terms in rows.items()}
-    for m in range(max(rows), deg - 1, -1):
-        row = rows.pop(m, zero)
-        for k, g in enumerate(ring.algebra.integral_form()[0]):
-            rows[m - deg + k] = rows.get(m - deg + k, zero) - row * lift_power(g, dom, 1)
-    terms = {e + (m,): c for m, row in rows.items() for e, c in row.terms.items()}
-    return SparsePoly(dom, d + 1, terms)
-
-
 def to_models(elems):
     """Elements of one C_{n+1}(k), C_{n+1}(k[z]) or C_{n+1}(Q) as
     numerators over one shared den."""
@@ -278,35 +241,32 @@ def to_models(elems):
     params = ring.params
     p, n = params.p, level - 1
     dom = ZmodDomain(p**level)
-    nvars, cap = _model_nvars(ring), ring.monomial_cap
+    nvars, cap = ring.model_nvars, ring.monomial_cap
     one = params._one_poly()
+    fracs = [None if c.model is not None else
+             {slot: ring.fraction(x) for slot, x in c.coords.items()} for c in elems]
     dens = [c.model[1] for c in elems if c.model is not None]
-    dens += [a.den for c in elems if c.model is None
-             for x in c.coords.values() for _, a in _k_terms(ring, x)]
+    dens += [b for f in fracs if f for _, b in f.values()]
     den = poly_lcm(dens, one)
     den_powers = [one]  # den^(p^j - 1)
     for _ in range(n):
         den_powers.append(den_powers[-1].pow(p) * den.pow(p - 1))
     cofactors = {}
     nums = []
-    for c in elems:
-        if c.model is not None:
+    for c, f in zip(elems, fracs):
+        if f is None:
             num, d = c.model
             if d != den:
                 num = num.mul(lift_power(exact_div(den, d), dom, p**n, nvars, cap), cap)
             nums.append(num)
             continue
         num = SparsePoly.zero(dom, nvars)
-        for (j, i), x in c.coords.items():
-            terms = {}  # x * den^(p^j), symbol exponents after the T ones
-            for e, a in _k_terms(ring, x):
-                cof = cofactors.get(a.den)
-                if cof is None:
-                    cof = cofactors[a.den] = exact_div(den, a.den)
-                for t, v in (a.num * cof * den_powers[j]).terms.items():
-                    terms[t + e] = v
-            w = SparsePoly(params.domain, nvars, terms)
-            power = _reduce_g(lift_power(w, dom, p ** (n - j), cap=cap), ring)
+        for (j, i), (v, b) in f.items():
+            cof = cofactors.get(b)
+            if cof is None:
+                cof = cofactors[b] = exact_div(den, b)
+            w = v * pad(cof, nvars) * pad(den_powers[j], nvars)  # x * den^(p^j)
+            power = ring.reduce_model(lift_power(w, dom, p ** (n - j), cap=cap))
             num = num + shift(power, i, p**j)
         nums.append(num)
     return nums, den
@@ -323,28 +283,6 @@ def model_inverse(num, den, ring, level):
     inv_lc = ring.params.domain.inv(new_den.leading()[1])
     new_num = lift_power(den, dom, e) * num.pow(e - 1)
     return shift(new_num, (), pow(inv_lc, e, dom.q)), new_den.scale(inv_lc)
-
-
-def _coordinate(ring, v, den):
-    """The ambient element v / den, v an F_p polynomial in the model's
-    variables with the symbol exponents undone; over Q, Y^k is L^k y^k."""
-    params = ring.params
-    if isinstance(ring, FieldRing):
-        return BaseFieldElem(params, v, den)
-    d = params.d
-    parts = {}
-    for e, c in v.terms.items():
-        parts.setdefault(e[d:], {})[e[:d]] = c
-    if isinstance(ring, EtaleRing):
-        powers = ring.algebra.integral_form()[1]
-        return ring.algebra.from_coords(
-            BaseFieldElem(params, SparsePoly(params.domain, d, parts.get((k,), {})) * lk, den)
-            for k, lk in enumerate(powers))
-    coeffs = {
-        e: BaseFieldElem(params, SparsePoly(params.domain, d, terms), den)
-        for e, terms in parts.items()
-    }
-    return SparsePoly(ring.domain, ring.nvars, coeffs)
 
 
 def from_model(num, den, ring, level, top=None):
@@ -365,7 +303,7 @@ def from_model(num, den, ring, level, top=None):
             break
         q = p ** (n - j)
         if isinstance(ring, EtaleRing):
-            x = _coordinate(ring, reduce_coeffs(num, params.domain), den_j.pow(q))
+            x = ring.from_fraction(reduce_coeffs(num, params.domain), den_j.pow(q), den_j)
             row = ring.digits_iter(x, n - j)
             coords.update(((j, i), v) for i, v in row.items())
             if j < top:  # the residual less the row, both at level n - j + 1
@@ -385,7 +323,7 @@ def from_model(num, den, ring, level, top=None):
             cleared = num
             for m, terms in parts.items():
                 v = SparsePoly(params.domain, num.nvars, terms)
-                coords[(j, m)] = _coordinate(ring, v, den_j)
+                coords[(j, m)] = ring.from_fraction(v, den_j, den)
                 if j < top:
                     lift = lift_power(v, num.domain, q, cap=ring.monomial_cap)
                     cleared = cleared - shift(lift, m, 1)
@@ -413,7 +351,7 @@ def cohen_sub(a: CohenElem, b: CohenElem) -> CohenElem:
 def cohen_mul(a: CohenElem, b: CohenElem) -> CohenElem:
     _check_pair(a, b)
     (x, y), den = to_models([a, b])
-    prod = _reduce_g(x.mul(y, a.ring.monomial_cap), a.ring)
+    prod = a.ring.reduce_model(x.mul(y, a.ring.monomial_cap))
     return from_model(prod, den * den, a.ring, a.level)
 
 

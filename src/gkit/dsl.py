@@ -37,6 +37,11 @@ _TOKEN_RE = re.compile(
 )
 
 
+_STATEMENT_KEYWORDS = frozenset(
+    ("base", "ring", "scheme", "elem", "witt", "cohen", "greenberg", "point", "units", "selftest")
+)
+
+
 class Token:
     __slots__ = ("kind", "value", "line", "col")
 
@@ -120,9 +125,12 @@ class Parser:
 
     def parse_script(self):
         """(kind, payload) per statement in order.  A statement that does not
-        parse becomes ("parse", ParseError), and parsing resumes after the
-        next ';' at brace depth 0 from the statement's start, or after the
-        '}' that closes a braced declaration."""
+        parse becomes ("parse", ParseError), and parsing resumes after it
+        (`_skip_statement`): after the next ';' at brace depth 0 from the
+        statement's start, after the '}' that closes a braced declaration
+        (a broken base or scheme declaration always runs to its '}'), or
+        before the next statement keyword that begins a line or follows
+        ';' or '}', whichever comes first."""
         statements = []
         while self.tokens[self.pos].kind != "eof":
             start = self.pos
@@ -135,11 +143,18 @@ class Parser:
         return statements
 
     def _skip_statement(self):
+        # inside braces only pbasis, eqs or '}' can follow a ';', so a
+        # keyword there starts the next statement, as one does on a new line
+        braced = self.tokens[self.pos].value in ("base", "scheme")
         depth = 0
         while self.tokens[self.pos].kind != "eof":
-            kind = self.next().kind
-            depth += (kind == "{") - (kind == "}")
-            if depth <= 0 and kind in (";", "}"):
+            prev = self.next()
+            depth += (prev.kind == "{") - (prev.kind == "}")
+            if depth <= 0 and (prev.kind == "}" or (prev.kind == ";" and not braced)):
+                return
+            tok = self.tokens[self.pos]
+            if (tok.kind == "ident" and tok.value in _STATEMENT_KEYWORDS
+                    and (tok.line > prev.line or prev.kind in (";", "}"))):
                 return
 
     def parse_statement(self):
@@ -147,15 +162,9 @@ class Parser:
         if tok.kind != "ident":
             raise ParseError(tok.line, tok.col, "a statement keyword", tok.value)
         word = tok.value
-        if word == "base":
-            return self.parse_base()
-        if word == "ring":
-            return self.parse_ring()
-        if word == "scheme":
-            return self.parse_scheme()
-        if word == "elem":
-            return self.parse_elem()
-        if word in ("witt", "cohen", "greenberg", "point", "units", "selftest"):
+        if word in ("base", "ring", "scheme", "elem"):
+            return getattr(self, f"parse_{word}")()
+        if word in _STATEMENT_KEYWORDS:
             return self.parse_command()
         raise ParseError(tok.line, tok.col, "a statement keyword", word)
 

@@ -158,6 +158,20 @@ def _slot_symbols(base, variables, symbol_cap):
     return symbols, layout
 
 
+def check_stage_symbols(X: AffinePresentation, stage, symbol_cap=DEFAULT_SYMBOL_CAP):
+    """Stage 0's symbols and layout, after raising, before any stage is
+    built, the ResourceLimit of the first stage s <= ``stage`` of X's
+    transform with more than ``symbol_cap`` symbols: stage s has
+    n_0 * (p^d)^s of them, n_0 those of stage 0."""
+    symbols, layout = _slot_symbols(X.base, X.variables, symbol_cap)
+    count = len(symbols)
+    for _ in range(stage):
+        count *= X.base.params.p ** X.base.params.d
+        if symbol_cap is not None and count > symbol_cap:
+            raise ResourceLimit(f"{count} symbols exceed the cap {symbol_cap}")
+    return symbols, layout
+
+
 def greenberg_transform(
     X: AffinePresentation,
     stage=0,
@@ -165,7 +179,7 @@ def greenberg_transform(
     symbol_cap=DEFAULT_SYMBOL_CAP,
 ):
     base = X.base
-    symbols, layout = _slot_symbols(base, X.variables, symbol_cap)
+    symbols, layout = check_stage_symbols(X, stage, symbol_cap)
     ring = SymbolicRing(base.params, symbols, monomial_cap=monomial_cap)
     algebra = base.algebra(ring)
 

@@ -643,13 +643,21 @@ def poly_gcd(f, g):
 # ---------------------------------------------------------------------------
 
 
+def pad(poly, nvars):
+    """poly in ``nvars`` variables, the trailing ones absent (poly itself
+    when it has that many)."""
+    if poly.nvars == nvars:
+        return poly
+    zeros = (0,) * (nvars - poly.nvars)
+    return SparsePoly(poly.domain, nvars, {x + zeros: c for x, c in poly.terms.items()})
+
+
 def lift_power(poly, dom, e, nvars=None, cap=None):
     """An F_p polynomial read coefficientwise over ``dom`` in ``nvars``
     variables (the trailing ones, the symbols, absent), to the e-th power.
     Without padding the terms mapping is shared, not copied."""
-    pad = (0,) * ((nvars or poly.nvars) - poly.nvars)
-    terms = {x + pad: c for x, c in poly.terms.items()} if pad else poly.terms
-    return SparsePoly(dom, poly.nvars + len(pad), terms).pow(e, cap=cap)
+    poly = pad(poly, nvars or poly.nvars)
+    return SparsePoly(dom, poly.nvars, poly.terms).pow(e, cap=cap)
 
 
 def shift(poly, i, scale):

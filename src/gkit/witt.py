@@ -1,29 +1,24 @@
 """Truncated p-typical Witt vectors over any supported coefficient ring.
 
-Over k = F_p(t_1..t_d), `witt_add`, `witt_sub`, `witt_mul`, `witt_neg` and
-`witt_sum` run on ghost components of lifts (the ghost engine below): the
-entries are put over one denominator D as numerators in F_p[t], their
-ghost components are computed on lifts to (Z/p^(m+1))[T], added or
-multiplied componentwise, and the result's entries are peeled back one
-position at a time.  Every other ring (the integers, etale extensions of
-k, and k[z]) evaluates the universal structure polynomials, built once per
-(p, N) by the classical ghost-component recursion over the integers
+Every Witt operation runs on ghost components.  Over the integers the
+ghost map is injective: `witt_add`, `witt_sub`, `witt_mul`, `witt_neg`,
+`witt_sum` and `frobenius` combine the ghost components (`ghost`) of their
+operands and peel the result back with one exact division per entry.
+Over k = F_p(t_1..t_d), an etale Q = k[y]/(g) and k[z] they run on ghost
+components of lifts (the ghost engine below): the entries are put over one
+denominator D as F_p numerators in the ring's model variables (the ring
+adapters' `fraction`, see rings.py), their ghost components are computed
+on lifts to (Z/p^(m+1))[T, ..], added or multiplied componentwise, and the
+result's entries are peeled back one position at a time (`from_fraction`).
+
+The universal structure polynomials (`structure_polys`) are built once
+per (p, N) by the classical ghost-component recursion over the integers
 
     S_n = (w_n(x) + w_n(y) - sum_{i<n} p^i S_i^{p^(n-i)}) / p^n,
 
-with every division checked to be exact.  Over the integers the ghost maps
-are injective, which makes them an independent oracle for the construction;
-over F_p-algebras the mod-p reductions of the same polynomials are used
-(they are much smaller).  They are evaluated with the one polynomial
-evaluator, `polys.eval_terms`, which skips a term with a positive exponent
-on a zero entry, and they remain the reference the engine is tested
-against.
-
-Sizes grow quickly with N.  Measured term counts of the full integer
-polynomials:
-
-    p=2: S = [2, 3, 8, 40]        P = [1, 3, 9, 51]
-    p=3: S = [2, 4, 24]           P = [1, 3, 13]
+with every division checked to be exact.  No operation evaluates them;
+they are public API and the independent oracle the engine is tested
+against (the README lists their term counts).
 
 Envelope.  The largest polynomial is the top sum S_{N-1}, whose terms are
 among the monomials of weighted degree p^{N-1} when x_i and y_i weigh p^i;
@@ -33,27 +28,23 @@ proportion to that count (measured: (1009, 2) with 1012 monomials in 1.0 s,
 `structure_polys` refuses, with ResourceLimit and before building, any
 (p, N) whose count exceeds MAX_MONOMIALS = 1200.  Admitted are N = 1 for
 every p, N = 2 for p < 1200, N = 3 for p <= 7, N = 4 for p <= 3, and
-N = 5 for p = 2.  The ghost engine builds no structure polynomial but
-keeps the same envelope (`_check_envelope`), so every op admits and
-refuses the same (p, N) over every ring.
+N = 5 for p = 2.  The operations, `teichmuller` and the integer
+`frobenius` keep the same envelope (`_check_envelope`), so every one of
+them admits and refuses the same (p, N) over every ring.
 """
 
-import functools
 import threading
 
-from .basefield import BaseFieldElem
 from .errors import IndexOutOfRange, InternalError, LengthMismatch, ResourceLimit
 from .polys import (
     ElemDomain,
     SparsePoly,
     ZmodDomain,
-    eval_terms,
     exact_div,
+    pad,
     poly_frobenius,
-    poly_gcd,
     poly_lcm,
 )
-from .rings import FieldRing
 
 _INT = ElemDomain(0, 1)
 _cache = {}
@@ -61,9 +52,9 @@ _cache_lock = threading.Lock()
 
 
 class StructurePolys:
-    """Universal polynomials for one (p, N): sums, products, negation,
-    Frobenius.  All live in Z[x_0..x_{N-1}, y_0..y_{N-1}] (variables 0..N-1
-    are x, N..2N-1 are y); Frobenius only involves the x block."""
+    """Universal polynomials for one (p, N): sums, products and negation.
+    All live in Z[x_0..x_{N-1}, y_0..y_{N-1}] (variables 0..N-1 are x,
+    N..2N-1 are y); negation only involves the x block."""
 
     def __init__(self, p, N):
         self.p = p
@@ -77,39 +68,13 @@ class StructurePolys:
                 acc = acc + vec[i].pow(p ** (n - i)).scale(p**i)
             return acc
 
-        sums, prods, negs = [], [], []
+        self.sums, self.prods, self.negs = out = [], [], []
         for n in range(N):
             wx, wy = ghost(x, n), ghost(y, n)
-            s = wx + wy
-            pr = wx * wy
-            ng = -wx
-            for i in range(n):
-                s = s - sums[i].pow(p ** (n - i)).scale(p**i)
-                pr = pr - prods[i].pow(p ** (n - i)).scale(p**i)
-                ng = ng - negs[i].pow(p ** (n - i)).scale(p**i)
-            sums.append(_exact_div_int(s, p**n))
-            prods.append(_exact_div_int(pr, p**n))
-            negs.append(_exact_div_int(ng, p**n))
-        frobs = []
-        for n in range(N - 1):
-            f = ghost(x, n + 1)
-            for i in range(n):
-                f = f - frobs[i].pow(p ** (n - i)).scale(p**i)
-            frobs.append(_exact_div_int(f, p**n))
-        self.sums = sums
-        self.prods = prods
-        self.negs = negs
-        self.frobs = frobs
-        self._reduced = None
-
-    def reduced_mod_p(self):
-        """The same polynomials with coefficients reduced mod p (zeros dropped)."""
-        if self._reduced is None:
-            self._reduced = tuple(
-                [q.map_coeffs(lambda c: c % self.p) for q in polys]
-                for polys in (self.sums, self.prods, self.negs, self.frobs)
-            )
-        return self._reduced
+            for polys, w in zip(out, (wx + wy, wx * wy, -wx)):
+                for i in range(n):
+                    w = w - polys[i].pow(p ** (n - i)).scale(p**i)
+                polys.append(_exact_div_int(w, p**n))
 
 
 def _exact_div_int(poly, k):
@@ -219,39 +184,6 @@ def teichmuller(ring, x, N):
     return WittVector(ring, (x,) + (ring.zero(),) * (N - 1))
 
 
-_POLYS = {"add": 0, "mul": 1, "neg": 2, "frob": 3}
-_SIGNS = {"add": (1, 1), "sub": (1, -1), "neg": (-1,)}
-
-
-def _evaluate(op, u, v=None):
-    """The Witt operation ``op`` ("add", "sub", "mul", "neg" or "frob") on
-    u and v (zeros when v is absent).  Over k the ghost engine computes it;
-    over other rings the structure polynomials, reduced mod p over an
-    F_p-algebra, are evaluated at the entries.  The (p, N) envelope
-    applies to both."""
-    ring = u.ring
-    p, N = _prime_of(ring), len(u)
-    engine = isinstance(ring, FieldRing)
-    if engine:
-        _check_envelope(p, N)
-    else:
-        sp = structure_polys(p, N)
-    if v is None:
-        v = witt_zero(ring, N)
-    else:
-        _check_pair(u, v)
-    if engine:
-        if op == "mul":
-            return _product(u, v)
-        return _linear(ring, list(zip(_SIGNS[op], (u, v))))
-    if ring.char_p is not None:
-        polys = sp.reduced_mod_p()[_POLYS[op]]
-    else:
-        polys = (sp.sums, sp.prods, sp.negs, sp.frobs)[_POLYS[op]]
-    values = u.entries + v.entries
-    return WittVector(ring, tuple(eval_terms(q.terms, values, ring.from_int, 0) for q in polys))
-
-
 def _check_pair(u, v):
     if len(u) != len(v):
         raise LengthMismatch(f"Witt lengths {len(u)} and {len(v)} differ")
@@ -260,89 +192,106 @@ def _check_pair(u, v):
 
 
 def witt_add(u, v):
-    return _evaluate("add", u, v)
+    return _linear([(1, u), (1, v)])
 
 
 def witt_mul(u, v):
-    return _evaluate("mul", u, v)
+    ring = u.ring
+    _check_envelope(_prime_of(ring), len(u))
+    _check_pair(u, v)
+    if ring.char_p is None:
+        return _int_peel(ring, [ghost(n, u) * ghost(n, v) for n in range(len(u))])
+    return _product(u, v)
 
 
 def witt_neg(u):
-    return _evaluate("neg", u)
+    return _linear([(-1, u)])
 
 
 def witt_sub(u, v):
-    if isinstance(u.ring, FieldRing):
-        _check_envelope(_prime_of(v.ring), len(v))  # where witt_neg(v) would stop
-        return _evaluate("sub", u, v)
-    return witt_add(u, witt_neg(v))
+    _check_envelope(_prime_of(v.ring), len(v))  # the records of witt_add(u, witt_neg(v))
+    return _linear([(1, u), (-1, v)])
 
 
 def witt_sum(vectors):
-    """The sum of one or more vectors: one ghost-engine pass over k, a
-    fold of witt_add elsewhere."""
-    u = vectors[0]
-    if not isinstance(u.ring, FieldRing):
-        return functools.reduce(witt_add, vectors)
-    _check_envelope(u.ring.params.p, len(u))
-    for v in vectors[1:]:
+    """The sum of one or more vectors, in one pass."""
+    return _linear([(1, w) for w in vectors])
+
+
+def _linear(signed):
+    """The sum of sign * w over the (sign, w) pairs, in the envelope of
+    the first vector's (p, N)."""
+    u = signed[0][1]
+    ring, N = u.ring, len(u)
+    _check_envelope(_prime_of(ring), N)
+    for _, v in signed[1:]:
         _check_pair(u, v)
-    return _linear(u.ring, [(1, w) for w in vectors])
+    if ring.char_p is None:
+        return _int_peel(ring, [sum(s * ghost(n, w) for s, w in signed) for n in range(N)])
+    nums = [_numerators(w) for _, w in signed]
+    dens = {Dw for _, Dw, _ in nums if Dw is not None}
+    D = poly_lcm(dens, ring.params._one_poly()) if dens else None
+    ghosts = None
+    for (sign, _), (U, Dw, _) in zip(signed, nums):
+        gs = _ghosts(ring, _rescale(ring, U, Dw, D))
+        if sign < 0:
+            gs = [-g for g in gs]
+        ghosts = gs if ghosts is None else [a + b for a, b in zip(ghosts, gs)]
+    return _peel(ring, ghosts, D, _den_bounds([b for _, _, b in nums], D))
 
 
-# -- the ghost engine over k = F_p(t_1..t_d) ---------------------------------
+def _int_peel(ring, ghosts):
+    """The integer vector with the given ghost components: the ghost map
+    is injective over Z, and every division below is exact."""
+    p, entries = ring.p, []
+    for n, g in enumerate(ghosts):
+        low = sum(p**i * x ** (p ** (n - i)) for i, x in enumerate(entries))
+        s, r = divmod(g - low, p**n)
+        if r:
+            raise InternalError(f"ghost component {n} is not divisible by p^{n}")
+        entries.append(s)
+    return WittVector(ring, entries)
+
+
+# -- the ghost engine over k, etale Q and k[z] -------------------------------
 #
-# Entry i of u is U_i / D^{p^i} with U_i, D in F_p[t].  Lifting U_i and D
-# to Z[T], the m-th ghost component of the lift is G_m / lift(D)^{p^m} with
+# Entry i of u is U_i / D^{p^i} with D in F_p[t] and U_i an F_p numerator
+# in the ring's model variables (`fraction`).  Lifting U_i and D to
+# Z[T, ..], the m-th ghost component of the lift is G_m / lift(D)^{p^m}
+# with
 #
 #     G_m = sum_{i <= m} p^i lift(U_i)^{p^(m-i)},
 #
 # which modulo p^(m+1) does not depend on the lifts (Dwork's lemma; see
 # L. Hesselholt, "Lecture notes on Witt vectors", 2005, section 1, and
 # L. R. A. Finotti, "Computations with Witt vectors and the Greenberg
-# transform", IJNT 10, 2014).  Witt sums and products act on ghost
-# components componentwise, so the ghost numerators of a signed sum over a
-# shared D are the signed sum of the G_m, and those of u * v over D_u D_v
-# are G_m(u) G_m(v).  The result's numerators S_m are peeled back one at
-# a time: S_m = (G_m - sum_{i<m} p^i lift(S_i)^{p^(m-i)}) / p^m mod p.
-
-
-def _linear(ring, signed):
-    """The sum of sign * w over the (sign, w) pairs, all over k."""
-    params = ring.params
-    p, nvars = params.p, params.d
-    nums = [_numerators(w) for _, w in signed]
-    dens = {Dw for _, Dw in nums if Dw is not None}
-    D = poly_lcm(dens, params._one_poly()) if dens else None
-    ghosts = None
-    for (sign, _), (U, Dw) in zip(signed, nums):
-        gs = _ghosts(_rescale(U, Dw, D, p), p, nvars)
-        if sign < 0:
-            gs = [-g for g in gs]
-        ghosts = gs if ghosts is None else [a + b for a, b in zip(ghosts, gs)]
-    return _peel(ring, ghosts, D, _den_bounds([w for _, w in signed], D))
+# transform", IJNT 10, 2014).  Over Q the lifts live in (Z/p^(m+1))[T, Y]
+# modulo G, the lift of g' (`reduce_model`), a p-torsion-free presentation
+# of the same ghost ring.  Witt sums and products act on ghost components
+# componentwise, so the ghost numerators of a signed sum over a shared D
+# are the signed sum of the G_m, and those of u * v over D_u D_v are
+# G_m(u) G_m(v).  The result's numerators S_m are peeled back one at a
+# time: S_m = (G_m - sum_{i<m} p^i lift(S_i)^{p^(m-i)}) / p^m mod p.
 
 
 def _product(u, v):
-    """u * v over k: ghost numerators multiply, over D_u D_v."""
-    params = u.ring.params
-    p, nvars = params.p, params.d
-    (U, Du), (V, Dv) = _numerators(u), _numerators(v)
-    ghosts = [a * b for a, b in zip(_ghosts(U, p, nvars), _ghosts(V, p, nvars))]
-    bounds = [_times(a, b) for a, b in zip(_den_bounds([u], Du), _den_bounds([v], Dv))]
-    return _peel(u.ring, ghosts, _times(Du, Dv), bounds)
+    """u * v: ghost numerators multiply, over D_u D_v."""
+    ring = u.ring
+    (U, Du, bu), (V, Dv, bv) = _numerators(u), _numerators(v)
+    ghosts = [ring.reduce_model(a * b) for a, b in zip(_ghosts(ring, U), _ghosts(ring, V))]
+    bounds = [_times(a, b) for a, b in zip(_den_bounds([bu], Du), _den_bounds([bv], Dv))]
+    return _peel(ring, ghosts, _times(Du, Dv), bounds)
 
 
 def _peel(ring, ghosts, D, bounds):
     """The vector whose ghost numerators over D are ``ghosts``."""
-    params = ring.params
-    p, nvars = params.p, params.d
+    p, fp = ring.char_p, ring.params.domain
     entries = []
     chain = []  # lift(S_i)^{p^(m-i)} modulo p^(m-i+1), as in _ghosts
     den = D  # D^{p^m}
     for m, g in enumerate(ghosts):
         q, scale = p ** (m + 1), p**m
-        low = _advance(chain, p, m, nvars).terms
+        low = _advance(ring, chain, m).terms
         peeled = {}
         for e in g.terms.keys() | low.keys():
             c = (g.terms.get(e, 0) - low.get(e, 0)) % q
@@ -350,35 +299,36 @@ def _peel(ring, ghosts, D, bounds):
                 raise InternalError(f"ghost component {m} is not divisible by p^{m}")
             if c:
                 peeled[e] = c // scale
-        S = SparsePoly(params.domain, nvars, peeled)
+        S = SparsePoly(fp, ring.model_nvars, peeled)
         chain.append(S)
-        entries.append(_fraction(params, S, den, D, bounds[m]))
+        entries.append(_fraction(ring, S, den, D, bounds[m]))
         if den is not None:
             den = poly_frobenius(den, p)
     return WittVector(ring, entries)
 
 
 def _numerators(u):
-    """(U, D) with entry i of u equal to U_i / D^{p^i}; D is None when every
-    denominator is 1.  D is the lcm of the r_i, where r_i is the p^i-th
-    root of entry i's denominator b_i when b_i is a p^i-th power, else b_i;
-    either way D^{p^i} / b_i is a polynomial."""
-    entries = u.entries
-    if all(x.den.is_constant() for x in entries):
-        return [x.num for x in entries], None
-    p = u.ring.params.p
-    roots = [_root(x.den, p**i) for i, x in enumerate(entries)]
-    D = poly_lcm([x.den if r is None else r for r, x in zip(roots, entries)],
-                 u.ring.params._one_poly())
+    """(U, D, b): entry i of u is U_i / D^{p^i}, and b_i is the denominator
+    of its `fraction`; D is None when every b_i is 1.  D is the lcm of the
+    r_i, where r_i is the p^i-th root of b_i when b_i is a p^i-th power,
+    else b_i; either way D^{p^i} / b_i is a polynomial."""
+    ring = u.ring
+    fracs = [ring.fraction(x) for x in u.entries]
+    dens = [b for _, b in fracs]
+    if all(b.is_constant() for b in dens):
+        return [a for a, _ in fracs], None, dens
+    p, nvars = ring.char_p, ring.model_nvars
+    roots = [_root(b, p**i) for i, b in enumerate(dens)]
+    D = poly_lcm([b if r is None else r for r, b in zip(roots, dens)], ring.params._one_poly())
     U = []
-    for i, (x, r) in enumerate(zip(entries, roots)):
-        if x.num.is_zero():
-            U.append(x.num)
+    for i, ((a, b), r) in enumerate(zip(fracs, roots)):
+        if a.is_zero():
+            U.append(a)
         elif r is not None:
-            U.append(x.num * poly_frobenius(exact_div(D, r), p**i))
+            U.append(a * pad(poly_frobenius(exact_div(D, r), p**i), nvars))
         else:
-            U.append(x.num * exact_div(poly_frobenius(D, p**i), x.den))
-    return U, D
+            U.append(a * pad(exact_div(poly_frobenius(D, p**i), b), nvars))
+    return U, D, dens
 
 
 def _times(a, b):
@@ -394,53 +344,57 @@ def _root(b, q):
     return SparsePoly(b.domain, b.nvars, {tuple(a // q for a in e): c for e, c in b.terms.items()})
 
 
-def _rescale(U, D, new, p):
+def _rescale(ring, U, D, new):
     """Numerators over D^{p^i} brought over new^{p^i} (D divides new)."""
     if D == new:
         return U
     cofactor = new if D is None else exact_div(new, D)
-    return [x * poly_frobenius(cofactor, p**i) for i, x in enumerate(U)]
+    return [x * pad(poly_frobenius(cofactor, ring.char_p**i), ring.model_nvars)
+            for i, x in enumerate(U)]
 
 
-def _den_bounds(vectors, D):
+def _den_bounds(dens, D):
     """B_m, the lcm of b_i^{p^(m-i)} over the entries i <= m of the vectors
-    (b_i the entry's denominator), for each m; None when D is.  Entry m of
-    a sum, difference or negative of the vectors is isobaric of weight p^m
-    in their entries, so its denominator divides B_m, and B_m divides
-    D^{p^m}; in a product each factor contributes its own B_m."""
+    whose entry denominators b_i are listed in ``dens``, for each m; None
+    when D is.  Entry m of a sum, difference or negative of the vectors is
+    isobaric of weight p^m in their entries, so its denominator divides
+    B_m, and B_m divides D^{p^m}; in a product each factor contributes its
+    own B_m."""
     if D is None:
-        return [None] * len(vectors[0])
+        return [None] * len(dens[0])
     one = SparsePoly.constant(D.domain, D.nvars, D.domain.one)
     B, out = one, []
-    for m in range(len(vectors[0])):
-        B = poly_lcm([poly_frobenius(B, D.domain.p)] + [w.entries[m].den for w in vectors], one)
+    for m in range(len(dens[0])):
+        B = poly_lcm([poly_frobenius(B, D.domain.p)] + [b[m] for b in dens], one)
         out.append(B)
     return out
 
 
-def _ghosts(U, p, nvars):
+def _ghosts(ring, U):
     """G_m modulo p^(m+1) for m < len(U), over Z/p^(m+1)."""
     chain = []
     out = []
     for x in U:
         chain.append(x)
-        out.append(_advance(chain, p, len(out), nvars))
+        out.append(_advance(ring, chain, len(out)))
     return out
 
 
-def _advance(chain, p, m, nvars):
+def _advance(ring, chain, m):
     """Step m of a power chain: chain[i] (i < m) holds lift(X_i)^{p^(m-1-i)}
     modulo p^(m-i) and becomes its p-th power modulo p^(m-i+1), which is
     lift(X_i)^{p^(m-i)} whatever the lift (a = b mod p^j gives
-    a^p = b^p mod p^(j+1)); chain[m], if present, is X_m over F_p.
-    Returns sum_i p^i chain[i] modulo p^(m+1)."""
+    a^p = b^p mod p^(j+1)), reduced by `reduce_model`; chain[m], if
+    present, is X_m over F_p.  Returns sum_i p^i chain[i] modulo p^(m+1)."""
+    p = ring.char_p
     q = p ** (m + 1)
     acc = {}
     for i, x in enumerate(chain):
         if not x.terms:
             continue
         if i < m:
-            x = chain[i] = SparsePoly(ZmodDomain(p ** (m - i + 1)), x.nvars, x.terms).pow(p)
+            x = SparsePoly(ZmodDomain(p ** (m - i + 1)), x.nvars, x.terms).pow(p)
+            x = chain[i] = ring.reduce_model(x)
         scale = p**i
         for e, c in x.terms.items():
             acc[e] = acc.get(e, 0) + c * scale
@@ -449,20 +403,20 @@ def _advance(chain, p, m, nvars):
         c %= q
         if c:
             terms[e] = c
-    return SparsePoly(ZmodDomain(q), nvars, terms)
+    return SparsePoly(ZmodDomain(q), ring.model_nvars, terms)
 
 
-def _fraction(params, S, den, D, bound):
-    """S / den in lowest terms, den = D^{p^m} (None for 1) and ``bound`` a
-    multiple of the denominator dividing den.  S loses the factor
-    den / bound exactly, and then only bound takes part in the gcd; when
-    bound is den, S coprime to D needs no gcd with den, because every
-    prime factor of den divides D."""
-    if den is None or not S.terms:
-        return BaseFieldElem(params, S, params._one_poly(), normalize=False)
-    if bound != den:
-        return BaseFieldElem(params, exact_div(S, exact_div(den, bound)), bound)
-    return BaseFieldElem(params, S, den, normalize=not poly_gcd(S, D).is_constant())
+def _fraction(ring, S, den, D, bound):
+    """S / den as an entry, den = D^{p^m} (None for 1) and ``bound`` a
+    multiple of the entry's denominator dividing den.  S loses the factor
+    den / bound exactly, and then only bound takes part in the gcds; when
+    bound is den, a coefficient coprime to D needs no gcd with den,
+    because every prime factor of den divides D."""
+    if den is None:
+        return ring.from_fraction(S, ring.params._one_poly())
+    if bound != den and S.terms:
+        return ring.from_fraction(exact_div(S, pad(exact_div(den, bound), S.nvars)), bound)
+    return ring.from_fraction(S, den, root=D)
 
 
 def _prime_of(ring):
@@ -487,45 +441,23 @@ def verschiebung(w, shifts=1):
 def frobenius(w):
     """Over an F_p-algebra: the entrywise p-th power (same length).
 
-    Over other rings the Frobenius polynomials apply and the result is one
-    entry shorter, as the top polynomial needs entry N of the input.
+    Over the integers the result is one entry shorter: its ghost
+    components are those of w shifted down by one, and the top one needs
+    entry N of the input.
     """
     ring = w.ring
     if ring.char_p is not None:
         return WittVector(ring, tuple(ring.pth_power(a) for a in w.entries))
-    return _evaluate("frob", w)
+    _check_envelope(ring.p, len(w))
+    return _int_peel(ring, [ghost(n, w) for n in range(1, len(w))])
 
 
 def p_times(w):
     """Multiplication by p; over F_p-algebras this is V(F(w)) = the shifted
-    entrywise p-th power."""
+    entrywise p-th power, over the integers the ghost components times p."""
     ring = w.ring
     if ring.char_p is not None:
         shifted = (ring.zero(),) + tuple(ring.pth_power(a) for a in w.entries[:-1])
         return WittVector(ring, shifted)
-    return int_times(_prime_of(ring), w)
-
-
-def int_times(n, w):
-    """n-fold sum of w (binary doubling)."""
-    if n < 0:
-        return witt_neg(int_times(-n, w))
-    acc = witt_zero(w.ring, len(w))
-    base = w
-    while n:
-        if n & 1:
-            acc = witt_add(acc, base)
-        n >>= 1
-        if n:
-            base = witt_add(base, base)
-    return acc
-
-
-def vn_decompose(y, N, ring):
-    """Write y = sum x_i * y_i^{p^N} with x_i the monomials t^m,
-    m in [0, p^N - 1]^d; pairs with y_i = 0 are dropped."""
-    params = ring.params
-    out = []
-    for m, v in sorted(ring.digits_iter(y, N).items()):
-        out.append((params.monomial(m), v))
-    return out
+    _check_envelope(ring.p, len(w))
+    return _int_peel(ring, [ring.p * ghost(n, w) for n in range(len(w))])

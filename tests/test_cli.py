@@ -362,6 +362,34 @@ def test_restriction_sum_past_the_cap_is_refused_quickly():
     }
 
 
+def test_stage_past_the_symbol_cap_is_refused_before_any_stage_is_built():
+    """Stage s has n_0 * (p^d)^s symbols, so the first stage over the cap
+    is known from stage 0's count: here n_0 = 3 at p = 2, and stage 11, with
+    3 * 2^11 = 6144 symbols, is the first over 5000.  Stage 100 is refused
+    with that stage's record at once, by the session and by the transform,
+    instead of after building stages 1 to 10."""
+    import time
+
+    from gkit import greenberg
+    from gkit.errors import ResourceLimit
+
+    start = time.monotonic()
+    session = run_script(
+        "base { p = 2; pbasis = [t]; }\n"
+        "ring A = unramified(2);\n"
+        "scheme X over A { vars [x]; eqs [ x - 1 ]; }\n"
+        "greenberg X --stage 100;\n",
+        SessionConfig(),
+    )
+    with pytest.raises(ResourceLimit) as refused:
+        greenberg.greenberg_transform(session.scheme("X"), 100)
+    assert time.monotonic() - start < 2.0
+    message = "6144 symbols exceed the cap 5000"
+    assert refused.value.payload()["message"] == message
+    assert session.results == [{"cmd": "greenberg", "status": "error", "error": {
+        "type": "ResourceLimit", "message": message}}]
+
+
 def test_stages_build_on_the_stage_below(monkeypatch):
     """greenberg at stage 1, then 2, then push and pull at stage 2, expands
     stage 0 once; every record equals the one of a transform built from
@@ -467,13 +495,10 @@ def test_fuzzed_scripts_raise_only_gkit_errors():
             pytest.fail(f"{type(exc).__name__}: {exc}\nscript:\n{text}")
 
 
-def test_inserted_characters_cost_one_record():
-    """Seeded well-formed scripts, one statement a line, with one character
-    outside the token set inserted: the statement around it becomes the one
-    parse record, every other command still gets its record, and no
-    statement gets two."""
-    import random
-    import time
+def _well_formed_scripts(rng, count):
+    """Seeded well-formed scripts as lists of lines, one statement a line:
+    cheap statements, then a scheme with `greenberg`, `point push` and
+    `pull`, and an Eisenstein scheme at stage 1."""
 
     def parses(statement):
         try:
@@ -483,8 +508,7 @@ def test_inserted_characters_cost_one_record():
         return True
 
     well_formed = [s for s in FUZZ_STATEMENTS if parses(s)]
-    rng = random.Random(20261019)
-    for _ in range(40):
+    for _ in range(count):
         p = rng.choice((2, 3))
         lines = [f"base {{ p = {p}; pbasis = [t]; }}"]
         lines += [rng.choice(well_formed) for _ in range(rng.randrange(1, 5))]
@@ -499,18 +523,62 @@ def test_inserted_characters_cost_one_record():
             "greenberg Y --stage 1;",
             "point push Y (teich(t) + pi) --stage 1;",
         ]
+        yield lines
+
+
+def _assert_one_record_per_statement(text, lines, max_parse):
+    """Each line gives one statement or one parse record, at most
+    ``max_parse`` parse records in all; every command gets its record,
+    no statement gets two, and the script runs within 5 s."""
+    import time
+
+    kinds = [kind for kind, _ in dsl.Parser(text).parse_script()]
+    assert len(kinds) == len(lines) and kinds.count("parse") <= max_parse, text
+    start = time.monotonic()
+    records = run_script(text, SessionConfig()).results
+    assert time.monotonic() - start < 5.0, text
+    cmds = [r for r in records if r["cmd"] != "parse" and not r["cmd"].startswith("declare.")]
+    assert [r["cmd"] for r in records].count("parse") == kinds.count("parse"), text
+    assert len(cmds) == kinds.count("cmd"), text
+    assert len(records) <= len(lines), text
+    return kinds
+
+
+def test_inserted_characters_cost_one_record():
+    """Seeded well-formed scripts with one character outside the token set
+    inserted: the statement around it becomes the one parse record, every
+    other command still gets its record, and no statement gets two."""
+    import random
+
+    rng = random.Random(20261019)
+    for lines in _well_formed_scripts(rng, 40):
         text = "\n".join(lines)
         pos = rng.randrange(len(text))
         text = text[:pos] + rng.choice("@$%&!?") + text[pos:]
-        kinds = [kind for kind, _ in dsl.Parser(text).parse_script()]
-        assert len(kinds) == len(lines) and kinds.count("parse") == 1, text
-        start = time.monotonic()
-        records = run_script(text, SessionConfig()).results
-        assert time.monotonic() - start < 5.0, text
-        cmds = [r for r in records if r["cmd"] != "parse" and not r["cmd"].startswith("declare.")]
-        assert [r["cmd"] for r in records].count("parse") == 1, text
-        assert len(cmds) == kinds.count("cmd"), text
-        assert len(records) <= len(lines), text
+        kinds = _assert_one_record_per_statement(text, lines, 1)
+        assert kinds.count("parse") == 1, text
+
+
+def test_deleted_tokens_cost_at_most_one_record():
+    """The same scripts with one token deleted, braces included: the
+    touched statement gives at most one parse record (it may still
+    parse), and every other statement keeps its one record.  A deleted
+    '{' or '}' of a declaration must not split it or swallow what follows."""
+    import random
+
+    rng = random.Random(20261020)
+    for lines in _well_formed_scripts(rng, 40):
+        row = rng.randrange(len(lines))
+        tok = rng.choice(dsl.tokenize(lines[row])[:-1])
+        lines = list(lines)
+        line = lines[row]
+        lines[row] = line[: tok.col - 1] + line[tok.col - 1 + len(tok.value):]
+        _assert_one_record_per_statement("\n".join(lines), lines, 1)
+    for row, brace in ((0, "{"), (0, "}"), (-8, "{"), (-8, "}"), (-3, "}")):
+        lines = next(_well_formed_scripts(rng, 1))
+        assert brace in lines[row]
+        lines[row] = lines[row].replace(brace, "", 1)
+        _assert_one_record_per_statement("\n".join(lines), lines, 1)
 
 
 def test_tokenizer_errors_cost_one_record_each(tmp_path):

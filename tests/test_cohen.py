@@ -418,8 +418,8 @@ def test_symbolic_model_matches_witt_route(p, d, level, nsyms):
         assert C.cohen_mul(a, b) == C.extract(W.witt_mul(tw(a), tw(b)))
         assert C.cohen_neg(a) == C.extract(W.witt_neg(tw(a)))
         for e in range(1, level):
-            # repeated Witt addition: the symbolic ring has no Frobenius
-            assert C.p_pow_times(a, e) == C.extract(W.int_times(p**e, tw(a)))
+            # the p^e-fold Witt sum: the symbolic ring has no Frobenius
+            assert C.p_pow_times(a, e) == C.extract(W.witt_sum([tw(a)] * p**e))
             # p^e divides an element supported at positions >= e whose
             # symbols occur to p^e-th powers
             low = C.truncate_level(b, level - e)

@@ -61,12 +61,13 @@ def test_ghost_oracle(p, N, rng):
 
     for zeros in [False] * 25 + [True] * 25:
         u, v = draw(zeros), draw(zeros)
-        s, m, n = W.witt_add(u, v), W.witt_mul(u, v), W.witt_neg(u)
+        s, m, n, pu = W.witt_add(u, v), W.witt_mul(u, v), W.witt_neg(u), W.p_times(u)
         for r in range(N):
             gu, gv = W.ghost(r, u), W.ghost(r, v)
             assert W.ghost(r, s) == gu + gv
             assert W.ghost(r, m) == gu * gv
             assert W.ghost(r, n) == -gu
+            assert W.ghost(r, pu) == p * gu
 
 
 def test_ghost_examples():
@@ -153,21 +154,20 @@ def test_ring_laws_random(params2, k2, rng):
         assert lhs == rhs
 
 
-def test_vn_decompose(params2, k2, etale_ring, rng):
+def test_digits_iter_decomposes(params2, k2, etale_ring, rng):
+    """y = sum over m in [0, p^N - 1]^d of t^m * y_m^{p^N}, zero y_m left out."""
     t = params2.gen(0)
-    pairs = W.vn_decompose(t**3 + t**2, 1, k2)
-    assert [(str(a), str(b)) for a, b in pairs] == [("1", "t"), ("t", "t")]
-    assert [(str(a), str(b)) for a, b in W.vn_decompose(t, 2, k2)] == [("t", "1")]
-    assert W.vn_decompose(params2.zero(), 2, k2) == []
+    assert k2.digits_iter(t**3 + t**2, 1) == {(0,): t, (1,): t}
+    assert k2.digits_iter(t, 2) == {(1,): params2.one()}
+    assert k2.digits_iter(params2.zero(), 2) == {}
     # reconstruction over k and over the etale extension
-    from gkit.sampling import rand_ambient_elem
-
     for ring, N in ((k2, 2), (etale_ring, 1)):
         for _ in range(20):
             y = rand_ambient_elem(rng, ring)
             total = ring.zero()
-            for mono, yi in W.vn_decompose(y, N, ring):
-                total = total + ring.scalar(mono) * ring.pth_power(yi, N)
+            for m, yi in ring.digits_iter(y, N).items():
+                assert not ring.is_zero(yi)
+                total = total + ring.scalar(ring.params.monomial(m)) * ring.pth_power(yi, N)
             assert total == y
 
 
@@ -222,14 +222,19 @@ ENGINE_DRAWS = {("k2", 2, 5): 6, ("k3", 3, 4): 6, ("k5", 5, 3): 6, ("k7", 7, 3):
 @pytest.mark.parametrize(
     "which,p,N",
     [("k2", 2, 4), ("k3", 3, 3), ("etale_ring", 2, 3), ("sym2", 2, 3), ("sym3", 3, 2),
-     ("k2", 2, 1), ("k2", 2, 5), ("k3", 3, 4), ("k5", 5, 3), ("k7", 7, 3), ("k22", 2, 3)],
+     ("k2", 2, 1), ("k2", 2, 5), ("k3", 3, 4), ("k5", 5, 3), ("k7", 7, 3), ("k22", 2, 3),
+     ("int", 2, 4), ("int", 3, 3), ("int", 5, 3)],
 )
 def test_zero_entries_match_every_term_evaluation(which, p, N, rng, request):
-    """witt_add/witt_sub/witt_mul/witt_neg agree with evaluating every term
-    of the integer structure polynomials: over k, where the ghost engine
-    computes them, and over the other rings, where skipping the terms that
-    vanish on zero entries must change no result."""
-    if which.startswith("sym"):
+    """witt_add/witt_sub/witt_mul/witt_neg, which run on ghost components
+    over every ring, agree with evaluating every term of the integer
+    structure polynomials, on vectors with zero entries: over the integers
+    by the exact ghost peel, and over k, etale Q and k[z] by the engine on
+    lifts.  The polynomials are the independent oracle."""
+    if which == "int":
+        ring = IntegerRing(p)
+        draw = lambda: _with_zeros(rng, ring, N, lambda: rng.choice([-1, 1]) * rng.randrange(1, 20))
+    elif which.startswith("sym"):
         ring, _sample = _symbolic_sampler(rng, request.getfixturevalue(f"params{p}"))
         draw = lambda: _with_zeros(rng, ring, N, _sample)
     elif which.startswith("k"):
