@@ -154,8 +154,9 @@ def test_ring_laws_random(params2, k2, rng):
         assert lhs == rhs
 
 
-def test_digits_iter_decomposes(params2, k2, etale_ring, rng):
-    """y = sum over m in [0, p^N - 1]^d of t^m * y_m^{p^N}, zero y_m left out."""
+def test_vn_decompose(params2, k2, etale_ring, rng):
+    """The V^N decomposition ring.digits_iter: y = sum over m in [0, p^N - 1]^d
+    of t^m * y_m^{p^N}, zero y_m left out."""
     t = params2.gen(0)
     assert k2.digits_iter(t**3 + t**2, 1) == {(0,): t, (1,): t}
     assert k2.digits_iter(t, 2) == {(1,): params2.one()}
