@@ -11,6 +11,7 @@ GKIT_SYMBOL_CAP); everything else flows through flags.
 """
 
 import argparse
+import contextlib
 import json
 import operator
 import os
@@ -430,8 +431,6 @@ class Session:
             X = self.scheme(cmd["scheme"])
             pres = self.presentation(cmd["scheme"], stage)
             point = [eval_base_elem(a, self, X.base) for a in cmd["vector"]]
-            if len(point) != len(X.variables):
-                raise TypeMismatch(f"expected {len(X.variables)} coordinates")
             coords = greenberg.point_to_coords(X, pres, point)
             return {"coords": [str(c) for c in coords], "stage": stage}
 
@@ -441,10 +440,6 @@ class Session:
             pres = self.presentation(cmd["scheme"], stage)
             params = self._need_base()
             values = [eval_k(a, params) for a in cmd["vector"]]
-            if len(values) != len(pres.symbols):
-                raise TypeMismatch(
-                    f"expected {len(pres.symbols)} coordinates, got {len(values)}"
-                )
             point = greenberg.coords_to_point(X, pres, values)
             return {
                 "point": [base_elem_to_json(v) for v in point],
@@ -488,6 +483,24 @@ def _emit(records, stream):
         stream.write("\n")
 
 
+def _read_script(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise TypeMismatch(f"--script {path!r} cannot be read: {reason}") from None
+
+
+def _open_out(path):
+    """``--out`` is opened before the script runs, so a path that cannot be
+    written costs no work."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise TypeMismatch(f"--out {path!r} cannot be written: {exc.strerror}") from None
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="gkit",
@@ -501,28 +514,27 @@ def main(argv=None):
     ap.add_argument("--stage", type=int, default=0, help="default restriction stage")
     args = ap.parse_args(argv)
 
-    if args.shortcut == "selftest":
-        text = "selftest;"
-    elif args.script:
-        with open(args.script) as fh:
-            text = fh.read()
-    else:
+    if args.shortcut != "selftest" and not args.script:
         ap.error("need --script FILE or the selftest shortcut")
-
     try:
-        config = SessionConfig.from_env(jobs=args.jobs, seed=args.seed, stage=args.stage)
-        session = run_script(text, config)
-        records = session.results
-        failed = session.failed
+        text = "selftest;" if args.shortcut == "selftest" else _read_script(args.script)
+        out = _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     except GkitError as exc:
-        records = [{"status": "error", "error": exc.payload()}]
-        failed = True
+        _emit([{"status": "error", "error": exc.payload()}], sys.stdout)
+        return 1
 
-    if args.out:
-        with open(args.out, "w") as fh:
-            _emit(records, fh)
-    else:
-        _emit(records, sys.stdout)
+    with out as stream:
+        try:
+            config = SessionConfig.from_env(jobs=args.jobs, seed=args.seed, stage=args.stage)
+            session = run_script(text, config)
+            records = session.results
+            failed = session.failed
+        except GkitError as exc:
+            records = [{"status": "error", "error": exc.payload()}]
+            failed = True
+        _emit(records, stream)
+        if args.out:  # a command may have written the same path meanwhile
+            stream.truncate()
     return 1 if failed else 0
 
 

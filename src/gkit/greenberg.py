@@ -4,10 +4,13 @@ as explicit polynomial systems over k.
 Given X = Spec A[x_1..x_v]/(f_1..f_w), each variable is replaced by the
 generic point of the scheme of elements of A: one Cohen component per
 module summand, with a fresh symbol for every canonical coordinate slot.
-Evaluating each f in base-ring arithmetic over the symbolic polynomial
-ring and reading off canonical coordinates yields one k-equation per
-coordinate.  The k-solutions of the output system biject with X(A);
-`point_to_coords` and `coords_to_point` transport points both ways.
+One list, `_slots(base)`, enumerates the (w, j, i) slots that survive
+modulo I^trunc; the symbol names, the equation order, point transfer both
+ways and the slots a level step frees are all read off it.  Evaluating
+each f in base-ring arithmetic over the symbolic polynomial ring and
+reading off canonical coordinates yields one k-equation per slot.  The
+k-solutions of the output system biject with X(A); `point_to_coords` and
+`coords_to_point` transport points both ways.
 
 Weil restriction along the absolute Frobenius expands a system over k into
 p^d times as many variables.  Stage s of the transform is Res_F applied s
@@ -24,8 +27,8 @@ import itertools
 import math
 import operator
 
-from . import cohen
-from .base import ArtinianBase
+from . import cohen, linalg
+from .base import ArtinianBase, graded_unit
 from .basefield import BaseFieldElem, DigitExpansion, pbasis_expand
 from .errors import NotASolution, ResourceLimit, TypeMismatch
 from .polys import SparsePoly, eval_terms, exact_div, poly_lcm
@@ -63,22 +66,21 @@ class AffinePresentation:
 class GreenbergPresentation:
     """The emitted polynomial system over k.
 
-    symbols: ordered coordinate names (stage 0:
-    z<var>.<position>.<i1_.._id>.<component>; each restriction stage
-    appends .s<i1_.._id>; the child of symbol v at digit position k is
-    v * p^d + k).  equations: SparsePoly over k in those symbols,
-    one per canonical coordinate of each input equation (position, then
-    multi-index, then component), then split p^d-fold per stage.
+    symbols: ordered coordinate names.  At stage 0, symbol
+    n * len(_slots(base)) + k is slot k = (w, j, i) of variable n, named
+    z<var>.<j>.<i1_.._id>.<w>; each restriction stage appends .s<i1_.._id>,
+    the child of symbol v at digit position k being v * p^d + k.
+    equations: SparsePoly over k in those symbols, one per slot of each
+    input equation, in slot order, then split p^d-fold per stage.
     """
 
-    def __init__(self, base, variables, symbols, equations, stage, layout):
+    def __init__(self, base, variables, symbols, equations, stage):
         self.base = base
         self.params = base.params
         self.variables = variables
         self.symbols = tuple(symbols)
         self.equations = equations
         self.stage = stage
-        self.layout = layout  # var -> list of (symbol index, w, j, i), stage-0
 
     def equation_strings(self):
         return [format_sym_poly(q, self.symbols) for q in self.equations]
@@ -94,8 +96,7 @@ class GreenbergPresentation:
         """The next stage: one Weil restriction of this system, Res_F(Y)."""
         symbols = _refined_symbols(self.params, self.symbols, symbol_cap)
         equations = _restrict(SymbolicRing(self.params, symbols), self.equations, monomial_cap)
-        return GreenbergPresentation(self.base, self.variables, symbols, equations,
-                                     self.stage + 1, self.layout)
+        return GreenbergPresentation(self.base, self.variables, symbols, equations, self.stage + 1)
 
     def is_solution(self, values):
         """Whether a full symbol assignment (k-elements) solves every
@@ -138,38 +139,31 @@ class GreenbergPresentation:
         return True
 
 
-def _slot_symbols(base, variables, symbol_cap):
-    ring_k = base.field_ring
-    symbols = []
-    layout = {}
-    for var in variables:
-        slots = []
-        for j, i in cohen.slot_indices(ring_k, base.m):
-            for w in range(base.e):
-                if j >= base.component_bound(w):
-                    continue
-                iword = "_".join(str(c) for c in i) if i else "0"
-                name = f"z{var}.{j}.{iword}.{w}"
-                slots.append((len(symbols), w, j, i))
-                symbols.append(name)
-        layout[var] = slots
-    if symbol_cap is not None and len(symbols) > symbol_cap:
-        raise ResourceLimit(f"{len(symbols)} symbols exceed the cap {symbol_cap}")
-    return symbols, layout
+def _slots(base):
+    """The (w, j, i) coordinate slots of one variable that survive modulo
+    I^trunc, in equation order: (j, i) outer, component w inner."""
+    return [(w, j, i) for j, i in cohen.slot_indices(base.field_ring, base.m)
+            for w in range(base.e) if j < base.component_bound(w)]
+
+
+def _word(i):
+    return "_".join(str(c) for c in i) if i else "0"
+
+
+def _check_symbol_cap(count, symbol_cap):
+    if symbol_cap is not None and count > symbol_cap:
+        raise ResourceLimit(f"{count} symbols exceed the cap {symbol_cap}")
 
 
 def check_stage_symbols(X: AffinePresentation, stage, symbol_cap=DEFAULT_SYMBOL_CAP):
-    """Stage 0's symbols and layout, after raising, before any stage is
-    built, the ResourceLimit of the first stage s <= ``stage`` of X's
-    transform with more than ``symbol_cap`` symbols: stage s has
-    n_0 * (p^d)^s of them, n_0 those of stage 0."""
-    symbols, layout = _slot_symbols(X.base, X.variables, symbol_cap)
-    count = len(symbols)
-    for _ in range(stage):
-        count *= X.base.params.p ** X.base.params.d
-        if symbol_cap is not None and count > symbol_cap:
-            raise ResourceLimit(f"{count} symbols exceed the cap {symbol_cap}")
-    return symbols, layout
+    """Stage 0's symbols, after raising, before any stage is built, the
+    ResourceLimit of the first stage s <= ``stage`` of X's transform with
+    more than ``symbol_cap`` symbols: stage s has n_0 * (p^d)^s of them,
+    n_0 those of stage 0."""
+    symbols = [f"z{var}.{j}.{_word(i)}.{w}" for var in X.variables for w, j, i in _slots(X.base)]
+    for s in range(stage + 1):
+        _check_symbol_cap(len(symbols) * (X.base.params.p ** X.base.params.d) ** s, symbol_cap)
+    return symbols
 
 
 def greenberg_transform(
@@ -179,33 +173,36 @@ def greenberg_transform(
     symbol_cap=DEFAULT_SYMBOL_CAP,
 ):
     base = X.base
-    symbols, layout = check_stage_symbols(X, stage, symbol_cap)
+    slots = _slots(base)
+    symbols = check_stage_symbols(X, stage, symbol_cap)
     ring = SymbolicRing(base.params, symbols, monomial_cap=monomial_cap)
     algebra = base.algebra(ring)
-
-    values = [ring.variable(s) for s in symbols]
-    generic = [_from_slots(algebra, layout[var], values) for var in X.variables]
-
+    generic = _point(algebra, slots, [ring.variable(s) for s in symbols], len(X.variables))
     equations = []
     for eq_index in range(len(X.equations)):
-        value = X.evaluate(eq_index, algebra, generic)
-        for j, i in cohen.slot_indices(base.field_ring, base.m):
-            for w in range(base.e):
-                if j < base.component_bound(w):
-                    equations.append(value.components[w].coords.get((j, i), ring.zero()))
-    pres = GreenbergPresentation(base, X.variables, symbols, equations, 0, layout)
+        equations += _coords(X.evaluate(eq_index, algebra, generic), slots, ring.zero())
+    pres = GreenbergPresentation(base, X.variables, symbols, equations, 0)
     for _ in range(stage):
         pres = pres.restricted(monomial_cap, symbol_cap)
     return pres
 
 
-def _from_slots(algebra, slots, values):
-    """The element with coordinate values[idx] at each slot (idx, w, j, i)
-    of a variable's layout."""
-    comps = [{} for _ in range(algebra.base.e)]
-    for idx, w, j, i in slots:
-        comps[w][(j, i)] = values[idx]
-    return algebra.from_components([cohen.CohenElem(algebra.ring, algebra.base.m, c) for c in comps])
+def _coords(elem, slots, zero):
+    """The coordinates of an element at ``slots``."""
+    return [elem.components[w].coords.get((j, i), zero) for w, j, i in slots]
+
+
+def _point(algebra, slots, coords, nvars):
+    """The point of ``nvars`` variables whose variable n has coordinate
+    coords[n * len(slots) + k] at slot k."""
+    point, size = [], len(slots)
+    for n in range(nvars):
+        comps = [{} for _ in range(algebra.base.e)]
+        for (w, j, i), c in zip(slots, coords[n * size : (n + 1) * size]):
+            comps[w][j, i] = c
+        point.append(algebra.from_components(
+            [cohen.CohenElem(algebra.ring, algebra.base.m, c) for c in comps]))
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +212,15 @@ def _from_slots(algebra, slots, values):
 
 def point_to_coords(X: AffinePresentation, pres: GreenbergPresentation, point):
     """Coordinates of an A-valued solution; verifies the equations first."""
+    if len(point) != len(X.variables):
+        raise TypeMismatch(f"expected {len(X.variables)} coordinates")
     algebra = X.base.algebra()
     values = [algebra.embed(v) if v.algebra is not algebra else v for v in point]
     for idx, res in enumerate(X.evaluate_all(algebra, values)):
         if not res.is_zero():
             raise NotASolution(f"equation {idx} does not vanish at the point")
-    zero = X.base.params.zero()
-    coords = [zero] * sum(len(slots) for slots in pres.layout.values())
-    for var, value in zip(X.variables, values):
-        for idx, w, j, i in pres.layout[var]:
-            coords[idx] = value.components[w].coords.get((j, i), zero)
+    slots, zero = _slots(X.base), X.base.params.zero()
+    coords = [c for value in values for c in _coords(value, slots, zero)]
     idxs = multi_indices(X.base.params.p, X.base.params.d)
     for _ in range(pres.stage):
         coords = [pbasis_expand(c)[i] for c in coords for i in idxs]
@@ -237,6 +233,8 @@ def coords_to_point(X: AffinePresentation, pres: GreenbergPresentation, coords):
     """Rebuild the A-valued point from coordinates; inverse of
     point_to_coords on solutions."""
     coords = list(coords)
+    if len(coords) != len(pres.symbols):
+        raise TypeMismatch(f"expected {len(pres.symbols)} coordinates, got {len(coords)}")
     params = X.base.params
     idxs = multi_indices(params.p, params.d)
     for _ in range(pres.stage):
@@ -245,7 +243,7 @@ def coords_to_point(X: AffinePresentation, pres: GreenbergPresentation, coords):
             for v in range(0, len(coords), len(idxs))
         ]
     algebra = X.base.algebra()
-    point = [_from_slots(algebra, pres.layout[var], coords) for var in X.variables]
+    point = _point(algebra, _slots(X.base), coords, len(X.variables))
     for idx, res in enumerate(X.evaluate_all(algebra, point)):
         if not res.is_zero():
             raise NotASolution(f"equation {idx} does not vanish at the rebuilt point")
@@ -275,13 +273,9 @@ def weil_restrict(params, symbols, equations, monomial_cap=None, symbol_cap=None
 
 def _refined_symbols(params, symbols, symbol_cap):
     """Symbol v's child at digit position k is v * p^d + k, named v.s<i>."""
-    new_symbols = [
-        f"{name}.s{'_'.join(str(c) for c in i) if i else '0'}"
-        for name in symbols
-        for i in multi_indices(params.p, params.d)
-    ]
-    if symbol_cap is not None and len(new_symbols) > symbol_cap:
-        raise ResourceLimit(f"{len(new_symbols)} symbols exceed the cap {symbol_cap}")
+    idxs = multi_indices(params.p, params.d)
+    new_symbols = [f"{name}.s{_word(i)}" for name in symbols for i in idxs]
+    _check_symbol_cap(len(new_symbols), symbol_cap)
     return new_symbols
 
 
@@ -297,17 +291,20 @@ def _restrict(ring, equations, monomial_cap):
     params = ring.params
     p, d = params.p, params.d
     idxs = multi_indices(p, d)
-    size = len(idxs)  # power(e): (z_0 + .. + z_{size-1})^e over F_p
+    size = len(idxs)
     block = SparsePoly(params.domain, size, {tuple(int(j == k) for j in range(size)): 1 for k in range(size)})
-    power = functools.cache(lambda e: list(block.pow(e, cap=monomial_cap).terms.items()))
+
+    @functools.cache
+    def power(e):  # (z_0 + .. + z_{size-1})^e over F_p as triples (a, b, s), s the t-weight of z^a
+        return [(a, b, tuple(sum(c * i[m] for c, i in zip(a, idxs)) for m in range(d)))
+                for a, b in block.pow(e, cap=monomial_cap).terms.items()]
 
     @functools.cache
     def factor(exps):  # prod_v (sum_i t^i z_{v,i})^{e_v} as triples (a, b, s)
-        out = [((), 1)]
-        for e in exps:
-            out = [(z + z2, b * b2 % p) for z, b in out for z2, b2 in power(e)]
-        return [(z, b, tuple(sum(a * idxs[j % size][m] for j, a in enumerate(z)) for m in range(d)))
-                for z, b in out]
+        return [(tuple(itertools.chain.from_iterable(a for a, _, _ in blocks)),
+                 math.prod(b for _, b, _ in blocks) % p,
+                 tuple(sum(s[m] for _, _, s in blocks) for m in range(d)))
+                for blocks in itertools.product(*map(power, exps))]
 
     out = []
     for q in equations:
@@ -351,15 +348,13 @@ def ga_frob_coker_coords(f):
 # ---------------------------------------------------------------------------
 
 
-def graded_kernel_check(base: ArtinianBase, group, i, samples, rng=None):
+def graded_kernel_check(base: ArtinianBase, group, i, samples):
     """Compare the kernel of the transform over A/I^{i+2} -> A/I^{i+1} with
     the rank-one graded piece I^{i+1}/I^{i+2}, on points and on symbols.
 
     ``samples`` is a list of k-elements used as test coordinates; the report
     records the explicit isomorphism and what was verified.
     """
-    from .base import graded_unit
-
     if group not in ("additive", "multiplicative"):
         raise TypeMismatch(f"unsupported group {group!r}")
     level = i + 1
@@ -376,111 +371,76 @@ def graded_kernel_check(base: ArtinianBase, group, i, samples, rng=None):
         "checked": 0,
         "pass": True,
     }
-    freed = _freed_slots(A2, A1)
+    freed = sorted(set(_slots(A2)) - set(_slots(A1)))
     report["freed_slots"] = [
         {"component": w, "position": j, "index": list(ix)} for w, j, ix in freed
     ]
     if j2 == j1:
         report["kernel"] = "trivial"
-        _symbolic_kernel_report(A2, A1, group, report)
-        return report
-
-    e = base.e
-    w0, s = level % e, level // e
-    report["kernel"] = f"I^{level}/I^{level + 1} = k via pi^{w0} p^{s} teich(-)"
-    ok = True
-    seen = []
-    for c in samples:
-        rep = graded_unit(A2, level, c).reduce_mod(j2)
-        elem = rep if group == "additive" else alg2.one() + rep
-        # lands in the kernel: trivial in A/I^{i+1}
-        down = elem.reduce_mod(j1)
-        if group == "additive":
-            ok &= down.is_zero()
-        else:
-            ok &= (down - down.algebra.one()).is_zero()
-        if not c.is_zero():
-            ok &= not rep.is_zero()
-            ok &= rep.graded_coefficient(level) == c
-        seen.append(rep)
-        report["checked"] += 1
-    # group law matches addition of graded coefficients
-    for a, b in zip(seen, seen[1:]):
-        ca, cb = a.graded_coefficient(level), b.graded_coefficient(level)
-        if group == "additive":
-            ok &= (a + b).graded_coefficient(level) == ca + cb
-        else:
-            prod = (alg2.one() + a) * (alg2.one() + b)
-            ok &= (prod - alg2.one()).graded_coefficient(level) == ca + cb
-    report["pass"] = bool(ok)
-    _symbolic_kernel_report(A2, A1, group, report)
+    else:
+        w0, s = level % base.e, level // base.e
+        report["kernel"] = f"I^{level}/I^{level + 1} = k via pi^{w0} p^{s} teich(-)"
+        ok = True
+        seen = []
+        for c in samples:
+            rep = graded_unit(A2, level, c).reduce_mod(j2)
+            elem = rep if group == "additive" else alg2.one() + rep
+            # lands in the kernel: trivial in A/I^{i+1}
+            down = elem.reduce_mod(j1)
+            if group == "additive":
+                ok &= down.is_zero()
+            else:
+                ok &= (down - down.algebra.one()).is_zero()
+            if not c.is_zero():
+                ok &= not rep.is_zero()
+                ok &= rep.graded_coefficient(level) == c
+            seen.append(rep)
+            report["checked"] += 1
+        # group law matches addition of graded coefficients
+        for a, b in zip(seen, seen[1:]):
+            ca, cb = a.graded_coefficient(level), b.graded_coefficient(level)
+            if group == "additive":
+                ok &= (a + b).graded_coefficient(level) == ca + cb
+            else:
+                prod = (alg2.one() + a) * (alg2.one() + b)
+                ok &= (prod - alg2.one()).graded_coefficient(level) == ca + cb
+        report["pass"] = bool(ok)
+    _symbolic_kernel_report(A2, group, freed, report)
     return report
 
 
-def _freed_slots(A2, A1):
-    out = []
-    for w in range(A2.e):
-        b2, b1 = A2.component_bound(w), A1.component_bound(w)
-        for j in range(b1, b2):
-            for ix in multi_indices(A2.params.p ** (A2.m - 1 - j), A2.params.d):
-                out.append((w, j, ix))
-    return out
-
-
-def _symbolic_kernel_report(A2, A1, group, report):
-    """One symbolic stage: the freed coordinates cut out the kernel."""
-    from . import linalg
-
+def _symbolic_kernel_report(A2, group, freed, report):
+    """One symbolic stage, by Greenberg's structure theorem: over the
+    identity of G_a = A^1 or G_m = {x y = 1}, both smooth of relative
+    dimension 1, pinning every coordinate but the freed ones leaves a
+    linear system whose solutions form one dimension per freed slot."""
+    alg = A2.algebra()
     if group == "additive":
-        X2 = AffinePresentation(A2, ["x"], [])
-        pres2 = greenberg_transform(X2)
-        pres1 = greenberg_transform(AffinePresentation(A1, ["x"], []))
-        report["symbolic"] = {
-            "stage_symbols": len(pres2.symbols),
-            "shared_symbols": len(pres1.symbols),
-            "kernel_symbols": len(pres2.symbols) - len(pres1.symbols),
-            "linear": True,
-        }
-        report["pass"] = report["pass"] and (
-            len(pres2.symbols) - len(pres1.symbols) == len(report["freed_slots"])
-        )
-        return
-    one = A2.algebra().one()
-    X2 = AffinePresentation(A2, ["x", "y"], [{(1, 1): one, (0, 0): -one}])
-    pres2 = greenberg_transform(X2)
-    identity_coords = point_to_coords(X2, pres2, [one, one])
-    freed = {(f["component"], f["position"], tuple(f["index"])) for f in report["freed_slots"]}
-    pinned = {}
-    free_indices = []
-    for var in X2.variables:
-        for idx, w, j, ix in pres2.layout[var]:
-            if (w, j, ix) in freed:
-                free_indices.append(idx)
-            else:
-                pinned[idx] = identity_coords[idx]
-    # substitute pinned values, keep freed symbols formal
+        X, identity = AffinePresentation(A2, ["x"], []), [alg.zero()]
+    else:
+        one = alg.one()
+        X = AffinePresentation(A2, ["x", "y"], [{(1, 1): one, (0, 0): -one}])
+        identity = [one, one]
+    pres = greenberg_transform(X)
+    coords = point_to_coords(X, pres, identity)
+    slots, freed = _slots(A2), set(freed)
+    free = [k for k in range(len(coords)) if slots[k % len(slots)] in freed]
+    ring = SymbolicRing(A2.params, pres.symbols)
+    pinned = {k: ring.scalar(c) for k, c in enumerate(coords) if k not in free}
     zero = A2.params.zero()
-    rows = []
-    linear = True
-    for q in pres2.equations:
-        pinned_q = q.substitute(
-            {v: SparsePoly.constant(q.domain, q.nvars, c) for v, c in pinned.items()}
-        )
-        row = [zero] * len(free_indices)
-        for exps, c in pinned_q.terms.items():
+    rows, linear = [], True
+    for q in pres.equations:
+        row = [zero] * len(free)
+        for exps, c in q.substitute(pinned).terms.items():
             if sum(exps) == 1:
-                row[free_indices.index(exps.index(1))] = c
+                row[free.index(exps.index(1))] = c
             elif sum(exps) > 1:
                 linear = False
-        if not pinned_q.is_zero():
-            rows.append(row)
-    solution_dim = None
-    if linear:
-        solution_dim = linalg.nullity(rows, zero) if rows else len(free_indices)
+        rows.append(row)
+    solution_dim = linalg.nullity(rows, zero) if rows else len(free)
     report["symbolic"] = {
-        "kernel_symbols": len(free_indices),
+        "kernel_symbols": len(free),
         "linear": linear,
-        "solution_dim": solution_dim,
+        "solution_dim": solution_dim if linear else None,
     }
-    if linear and free_indices:
-        report["pass"] = report["pass"] and solution_dim * 2 == len(free_indices)
+    report["pass"] = report["pass"] and linear and solution_dim == len(freed)

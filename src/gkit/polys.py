@@ -256,22 +256,9 @@ class SparsePoly:
         ``mapping`` maps a variable index to a SparsePoly over the same
         domain; unmapped variables stay themselves.
         """
-        dom = self.domain
-        out = SparsePoly.zero(dom, self.nvars)
-        power_cache = {}
-        for exps, c in self.sorted_terms():
-            factor = SparsePoly.constant(dom, self.nvars, c)
-            for v, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if v in mapping:
-                    if (v, e) not in power_cache:
-                        power_cache[v, e] = mapping[v].pow(e)
-                    factor = factor * power_cache[v, e]
-                else:
-                    factor = factor * SparsePoly.variable(dom, self.nvars, v, e)
-            out = out + factor
-        return out
+        dom, n = self.domain, self.nvars
+        values = [mapping[v] if v in mapping else SparsePoly.variable(dom, n, v) for v in range(n)]
+        return eval_terms(self.terms, values, lambda c: SparsePoly.constant(dom, n, c), dom.zero)
 
 
 def _int_mul(a, b, q, nvars, cap=None):

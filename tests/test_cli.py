@@ -197,6 +197,12 @@ def test_greenberg_out_file(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(out_path.read_text())
     assert doc["stage"] == 0 and len(doc["symbols"]) == 3
+    # --out naming the same file, opened before the script runs, ends up
+    # holding the record alone, although the presentation is longer
+    script_path.write_text(script_path.read_text().replace("point push X (teich(t));\n", ""))
+    again = run_cli(["--script", str(script_path), "--out", str(out_path)])
+    assert again.returncode == 0 and again.stdout == ""
+    assert out_path.read_text() == proc.stdout.splitlines(keepends=True)[0]
 
 
 def test_greenberg_out_to_a_missing_directory_is_a_record(tmp_path):
@@ -266,12 +272,27 @@ def test_env_caps(tmp_path, monkeypatch):
         ([], {"GKIT_MONOMIAL_CAP": "abc"}, "GKIT_MONOMIAL_CAP='abc'"),
         ([], {"GKIT_MONOMIAL_CAP": "0"}, "GKIT_MONOMIAL_CAP='0'"),
         ([], {"GKIT_SYMBOL_CAP": "-1"}, "GKIT_SYMBOL_CAP='-1'"),
+        (["--script", "{tmp}/missing.gk"], {},
+         "--script '{tmp}/missing.gk' cannot be read: No such file or directory"),
+        (["--script", "{tmp}"], {}, "--script '{tmp}' cannot be read: Is a directory"),
+        (["--script", "{tmp}/latin1.gk"], {},
+         "--script '{tmp}/latin1.gk' cannot be read: 'utf-8' codec can't decode byte 0xe9"),
+        (["--out", "{tmp}/missing/out.jsonl"], {},
+         "--out '{tmp}/missing/out.jsonl' cannot be written: No such file or directory"),
     ],
-    ids=["jobs-zero", "stage-negative", "cap-not-an-integer", "cap-zero", "symbol-cap-negative"],
+    ids=["jobs-zero", "stage-negative", "cap-not-an-integer", "cap-zero", "symbol-cap-negative",
+         "script-missing", "script-directory", "script-not-utf8", "out-directory-missing"],
 )
 def test_config_errors_are_records(tmp_path, flags, env_extra, needle):
+    """A bad flag, cap or file gives one TypeMismatch record on stdout,
+    naming the flag or variable, and exit status 1; ``{tmp}`` stands for
+    the test's directory, which holds the worked example and a Latin-1
+    script."""
     path = tmp_path / "demo.gk"
     path.write_text(WORKED_SCRIPT)
+    (tmp_path / "latin1.gk").write_bytes("# caf\u00e9\nselftest;\n".encode("latin-1"))
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
+    needle = needle.format(tmp=tmp_path)
     env = dict(os.environ, **env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "gkit.cli", "--script", str(path)] + flags,

@@ -5,8 +5,8 @@ import pytest
 from gkit import base as B
 from gkit import cli
 from gkit import greenberg as G
-from gkit.errors import NotASolution, ResourceLimit
-from gkit.polys import eval_terms
+from gkit.errors import NotASolution, ResourceLimit, TypeMismatch
+from gkit.polys import SparsePoly, eval_terms
 from gkit.rings import SymbolicRing, multi_indices
 from gkit.sampling import (
     rand_base_elem,
@@ -82,6 +82,22 @@ def test_worked_example_point_bijection(worked_example, params2, k2, rng):
         assert (back[0] - point).is_zero()
     with pytest.raises(NotASolution):
         G.point_to_coords(X, pres, [alg.one()])
+
+
+def test_point_transfer_checks_lengths(worked_example):
+    """Both transfers refuse a point or a coordinate list of the wrong
+    length, at stage 0 and at stage 1, with the CLI's messages."""
+    X, tau = worked_example
+    pres = G.greenberg_transform(X)
+    for pres in (pres, pres.restricted()):
+        coords = G.point_to_coords(X, pres, [tau])
+        n = len(pres.symbols)
+        for point in ([tau, tau], []):
+            with pytest.raises(TypeMismatch, match="^expected 1 coordinates$"):
+                G.point_to_coords(X, pres, point)
+        for wrong in (coords + coords[:1], coords[:-1]):
+            with pytest.raises(TypeMismatch, match=f"^expected {n} coordinates, got {len(wrong)}$"):
+                G.coords_to_point(X, pres, wrong)
 
 
 def test_linear_pinning(params2, base_unram2):
@@ -384,6 +400,21 @@ def test_graded_kernel_eisenstein(params3, base_eis_p3, rng):
         assert report["pass"], report
 
 
+def test_graded_kernel_fibre_has_one_dimension_per_freed_slot(params2, params3, base_unram2, base_eis_p3):
+    """Greenberg's structure theorem for G_a and G_m, smooth of relative
+    dimension 1: over the identity, each level step's fibre is linear with
+    one dimension per freed slot, over unramified (p, m) = (2, 2), (2, 3),
+    (3, 2) and Eisenstein pi^2 - p at p = 3, at every i <= r."""
+    bases = [base_unram2, B.make_unramified(params2, 3), B.make_unramified(params3, 2), base_eis_p3]
+    for base in bases:
+        samples = [base.params.gen(0), base.params.one()]
+        for group in ("additive", "multiplicative"):
+            for i in range(base.r + 1):
+                report = G.graded_kernel_check(base, group, i, samples)
+                assert report["pass"] and report["symbolic"]["linear"], report
+                assert report["symbolic"]["solution_dim"] == len(report["freed_slots"]), report
+
+
 def unit_locus_agrees(X, g_equation, point):
     """g(P) is a unit in A iff the position-0 coordinates of its canonical
     form are not all zero; returns (unit?, position-0 part nonzero?)."""
@@ -438,12 +469,58 @@ def test_monomial_cap_bounds_the_model(params2):
         G.greenberg_transform(X, monomial_cap=40)
 
 
+def _per_term_substitute(q, mapping):
+    """The per-term substitution that `SparsePoly.substitute` replaced:
+    each term is its coefficient times cached powers of the mapped
+    polynomials and powers of the unmapped variables."""
+    dom, n = q.domain, q.nvars
+    out = SparsePoly.zero(dom, n)
+    power_cache = {}
+    for exps, c in q.sorted_terms():
+        factor = SparsePoly.constant(dom, n, c)
+        for v, e in enumerate(exps):
+            if e == 0:
+                continue
+            if v in mapping:
+                if (v, e) not in power_cache:
+                    power_cache[v, e] = mapping[v].pow(e)
+                factor = factor * power_cache[v, e]
+            else:
+                factor = factor * SparsePoly.variable(dom, n, v, e)
+        out = out + factor
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_substitute_matches_the_per_term_route(p, params2, params3, rng):
+    """`SparsePoly.substitute` over k[z] equals the per-term route on
+    seeded polynomials, with mapped and unmapped variables, zero-valued
+    and constant mappings, the empty mapping and the empty polynomial."""
+    params = params2 if p == 2 else params3
+    ring = SymbolicRing(params, ["a", "b", "c", "d"])
+
+    def rand_poly(terms, deg=2):
+        return SparsePoly(ring.domain, ring.nvars, {
+            tuple(rng.randrange(deg + 1) for _ in range(ring.nvars)): rand_nonzero_field_elem(rng, params)
+            for _ in range(terms)})
+
+    for _ in range(6):
+        q = rand_poly(5)
+        for mapping in (
+            {},
+            {0: rand_poly(3), 2: rand_poly(2)},
+            {1: ring.zero(), 3: rand_poly(2, deg=1)},
+            {v: ring.scalar(rand_field_elem(rng, params)) for v in range(ring.nvars)},
+            {v: ring.zero() for v in range(ring.nvars)},
+        ):
+            assert q.substitute(mapping) == _per_term_substitute(q, mapping)
+            assert ring.zero().substitute(mapping) == ring.zero()
+
+
 def _substitution_restrict(params, symbols, equations):
     """The restriction route of reference: substitute z_v -> sum_i t^i z_{v,i}
     over k with `SparsePoly.substitute`, then split every coefficient into
     its t-digits with `SymbolicRing.digits1`."""
-    from gkit.polys import SparsePoly
-
     new_symbols, _, _ = G.weil_restrict(params, symbols, [])
     ring = SymbolicRing(params, new_symbols)
     idxs = multi_indices(params.p, params.d)
