@@ -172,6 +172,7 @@ class BaseAlgebra:
         else:
             self._ecoeffs = None
         self._emodel = None
+        self._one = None
 
     def ecoeff_models(self):
         """The coefficients of E as model numerators over one denominator."""
@@ -186,7 +187,10 @@ class BaseAlgebra:
         return BaseElem(self, (z,) * self.base.e)
 
     def one(self):
-        return self.from_component(cohen.teich_lift(self.ring, self.base.m, self.ring.one()))
+        """Built once: elements are immutable, so every caller shares it."""
+        if self._one is None:
+            self._one = self.teich(self.ring.one())
+        return self._one
 
     def from_int(self, n):
         return self.from_component(cohen.cohen_from_int(self.ring, self.base.m, n))

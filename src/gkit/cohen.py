@@ -32,6 +32,11 @@ den = lcm of the coordinates' denominators, slot (j, i) adds
 p^j * T^i * lift(x * den^{p^j})^{p^{n-j}} to num.  `to_models` is the one
 way into the model: it brings all operands of an operation over one shared
 den (a kept model is multiplied by the lift of its cofactor to the p^n).
+It pays for what the coordinates hold: den^{p^j - 1} is built only up to
+the highest position j that occurs, and a factor that is 1 is not
+multiplied in (the cofactor den / b of a coordinate whose denominator b is
+den, the power at position 0, both when den = 1); a one-term
+x * den^{p^j} is raised in one pass (`SparsePoly.pow`).
 The ring adapters of rings.py write a coordinate as an F_p numerator over
 its den (`fraction`) and read one back (`from_fraction`), the same
 encoding the Witt ghost engine uses.
@@ -80,6 +85,7 @@ from .polys import (
     exact_div,
     lift_power,
     pad,
+    poly_frobenius,
     poly_gcd,
     poly_lcm,
     reduce_coeffs,
@@ -196,7 +202,8 @@ def extract(w: WittVector, max_position=None) -> CohenElem:
     sum_m c_m^{p^n} t^m with c_m = 0 unless p^j divides m componentwise;
     the surviving digits are the coordinates x_j(i), i = m / p^j.  Their
     realization is Witt-subtracted and the next position processed.  Any
-    forbidden digit, or a nonzero final residual, raises NotInCohen.
+    forbidden digit, or a nonzero final residual, raises NotInCohen.  The
+    subtraction of a position's single-slot vectors is one signed pass.
 
     ``max_position`` stops after that position, ignoring what remains above
     it (the tests' Witt route of exact p-division, where the top of the
@@ -214,16 +221,16 @@ def extract(w: WittVector, max_position=None) -> CohenElem:
         if ring.is_zero(entry):
             continue
         digits = ring.digits_iter(entry, n)
-        part = {}
+        singles = []
         for m, cval in sorted(digits.items()):
             if any(comp % p**j for comp in m):
                 raise NotInCohen(
                     f"position {j}: digit at index {m} is not divisible by p^{j}"
                 )
             i = tuple(comp // p**j for comp in m)
-            part[(j, i)] = cval
-        coords.update(part)
-        residual = witt_sub(residual, to_witt(CohenElem(ring, level, part)))
+            coords[(j, i)] = cval
+            singles.append(_single_vector(ring, level, j, i, cval))
+        residual = witt_sub(residual, *singles)
         if not ring.is_zero(residual[j]):
             raise InternalError("digit extraction did not clear its position")
     if max_position is None and not residual.is_zero():
@@ -248,9 +255,7 @@ def to_models(elems):
     dens = [c.model[1] for c in elems if c.model is not None]
     dens += [b for f in fracs if f for _, b in f.values()]
     den = poly_lcm(dens, one)
-    den_powers = [one]  # den^(p^j - 1)
-    for _ in range(n):
-        den_powers.append(den_powers[-1].pow(p) * den.pow(p - 1))
+    den_powers = [one]  # den^(p^j - 1), built up to the highest position met
     cofactors = {}
     nums = []
     for c, f in zip(elems, fracs):
@@ -262,11 +267,18 @@ def to_models(elems):
             continue
         num = SparsePoly.zero(dom, nvars)
         for (j, i), (v, b) in f.items():
-            cof = cofactors.get(b)
-            if cof is None:
-                cof = cofactors[b] = exact_div(den, b)
-            w = v * pad(cof, nvars) * pad(den_powers[j], nvars)  # x * den^(p^j)
-            power = ring.reduce_model(lift_power(w, dom, p ** (n - j), cap=cap))
+            # x * den^(p^j) = v * (den / b) * den^(p^j - 1); a constant den
+            # is 1, and then so is every b
+            if b != den:
+                cof = cofactors.get(b)
+                if cof is None:
+                    cof = cofactors[b] = pad(exact_div(den, b), nvars)
+                v = v * cof
+            if j and not den.is_constant():
+                while len(den_powers) <= j:
+                    den_powers.append(poly_frobenius(den_powers[-1], p) * den.pow(p - 1))
+                v = v * pad(den_powers[j], nvars)
+            power = ring.reduce_model(lift_power(v, dom, p ** (n - j), cap=cap))
             num = num + shift(power, i, p**j)
         nums.append(num)
     return nums, den
@@ -303,7 +315,8 @@ def from_model(num, den, ring, level, top=None):
             break
         q = p ** (n - j)
         if isinstance(ring, EtaleRing):
-            x = ring.from_fraction(reduce_coeffs(num, params.domain), den_j.pow(q), den_j)
+            x = ring.from_fraction(reduce_coeffs(num, params.domain),
+                                   poly_frobenius(den_j, q), den_j)
             row = ring.digits_iter(x, n - j)
             coords.update(((j, i), v) for i, v in row.items())
             if j < top:  # the residual less the row, both at level n - j + 1
@@ -329,7 +342,7 @@ def from_model(num, den, ring, level, top=None):
                     cleared = cleared - shift(lift, m, 1)
         if j < top:
             num = div_p(cleared, p, "digit extraction did not clear its position")
-            den_j = den_j.pow(p)
+            den_j = poly_frobenius(den_j, p)
     c = CohenElem(ring, level, coords)
     if complete:
         c.model = model
@@ -475,4 +488,4 @@ def truncate_level(c: CohenElem, target_level) -> CohenElem:
             raise InternalError(f"symbol exponents are not multiples of {s}")
         terms = {e[:d] + tuple(a // s for a in e[d:]): v for e, v in low.terms.items()}
         low = SparsePoly(low.domain, low.nvars, terms)
-    return from_model(low, den.pow(s), c.ring, target_level)
+    return from_model(low, poly_frobenius(den, s), c.ring, target_level)

@@ -106,7 +106,10 @@ class GreenbergPresentation:
         vanishes iff sum_e (L / d_e) n_e prod_v a_v^{e_v} B^{deg - |e|}
         does.  Terms are summed per denominator d_e before the cofactor
         L / d_e is applied, and a term with a positive exponent on a zero
-        value is skipped."""
+        value is skipped.  A list whose length is not the number of symbols
+        raises TypeMismatch."""
+        if len(values) != len(self.symbols):
+            raise TypeMismatch(f"{len(values)} values for {len(self.symbols)} symbols")
         one = self.params._one_poly()
         B = poly_lcm([x.den for x in values], one)
         bases = [x.num if x.den == B else x.num * exact_div(B, x.den) for x in values] + [B]
@@ -437,7 +440,7 @@ def _symbolic_kernel_report(A2, group, freed, report):
             elif sum(exps) > 1:
                 linear = False
         rows.append(row)
-    solution_dim = linalg.nullity(rows, zero) if rows else len(free)
+    solution_dim = linalg.nullity(rows, len(free), zero)
     report["symbolic"] = {
         "kernel_symbols": len(free),
         "linear": linear,

@@ -36,8 +36,7 @@ def row_reduce(matrix, zero):
     return rows, pivots
 
 
-def nullity(matrix, zero):
-    if not matrix:
-        return 0
-    _, pivots = row_reduce(matrix, zero)
-    return len(matrix[0]) - len(pivots)
+def nullity(matrix, ncols, zero):
+    """The dimension of the solutions of matrix * x = 0 in ncols unknowns;
+    with no rows every unknown is free."""
+    return ncols - len(row_reduce(matrix, zero)[1])

@@ -23,7 +23,7 @@ import operator
 import sys
 from array import array
 
-from .errors import InternalError, ResourceLimit
+from .errors import InternalError, ResourceLimit, TypeMismatch
 
 
 class ZmodDomain:
@@ -158,7 +158,10 @@ class SparsePoly:
         return hash((self.nvars, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
     def __add__(self, other):
-        dom = self.domain
+        dom, other_dom = self.domain, other.domain
+        if other_dom is not dom and isinstance(dom, ZmodDomain) \
+                and isinstance(other_dom, ZmodDomain) and dom.q != other_dom.q:
+            raise TypeMismatch(f"polynomials over Z/{dom.q} and Z/{other_dom.q}")
         terms = dict(self.terms)
         for e, c in other.terms.items():
             prev = terms.get(e)
@@ -191,6 +194,8 @@ class SparsePoly:
         if len(a) < len(b):
             a, b = b, a
         if isinstance(dom, ZmodDomain):
+            if len(b) == 1:
+                return SparsePoly(dom, self.nvars, _monomial_mul(a, b, dom.q, cap))
             return SparsePoly(dom, self.nvars, _int_mul(a, b, dom.q, self.nvars, cap))
         terms = {}
         for e1, c1 in a.items():
@@ -217,9 +222,13 @@ class SparsePoly:
     def pow(self, n, cap=None):
         if n < 0:
             raise InternalError("negative polynomial power")
-        one = SparsePoly.constant(self.domain, self.nvars, self.domain.one)
         if cap is not None and n and len(self.terms) > cap:
             raise ResourceLimit(f"intermediate polynomial exceeded {cap} monomials")
+        if n and len(self.terms) == 1 and isinstance(self.domain, ZmodDomain):
+            # (c T^e)^n = c^n T^(n e): one pass, no cap to meet past the one term
+            ((e, c),) = self.terms.items()
+            c = pow(c, n, self.domain.q)
+            return SparsePoly(self.domain, self.nvars, {tuple(a * n for a in e): c} if c else {})
         result = None
         base = self
         while n:
@@ -228,7 +237,9 @@ class SparsePoly:
             n >>= 1
             if n:
                 base = base.mul(base, cap=cap)
-        return one if result is None else result
+        if result is None:
+            return SparsePoly.constant(self.domain, self.nvars, self.domain.one)
+        return result
 
     def __pow__(self, n):
         return self.pow(n)
@@ -284,6 +295,27 @@ def _int_mul(a, b, q, nvars, cap=None):
         c %= q
         if c:
             terms[e] = c
+    return terms
+
+
+def _monomial_mul(a, b, q, cap=None):
+    """`_int_mul` when b has one term: every term of a shifts by the same
+    monomial, so no exponents collide and the cap trips iff a exceeds it."""
+    if cap is not None and len(a) > cap:
+        raise ResourceLimit(f"intermediate polynomial exceeded {cap} monomials")
+    ((e2, c2),) = b.items()
+    terms = {}
+    if len(e2) == 1:
+        (s,) = e2
+        for (x,), c1 in a.items():
+            c = c1 * c2 % q
+            if c:
+                terms[(x + s,)] = c
+        return terms
+    for e1, c1 in a.items():
+        c = c1 * c2 % q
+        if c:
+            terms[tuple(map(operator.add, e1, e2))] = c
     return terms
 
 

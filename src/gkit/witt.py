@@ -208,9 +208,11 @@ def witt_neg(u):
     return _linear([(-1, u)])
 
 
-def witt_sub(u, v):
-    _check_envelope(_prime_of(v.ring), len(v))  # the records of witt_add(u, witt_neg(v))
-    return _linear([(1, u), (-1, v)])
+def witt_sub(u, *vs):
+    """u minus every v, in one pass."""
+    for v in vs:  # the records of witt_add(u, witt_neg(v))
+        _check_envelope(_prime_of(v.ring), len(v))
+    return _linear([(1, u)] + [(-1, v) for v in vs])
 
 
 def witt_sum(vectors):

@@ -13,7 +13,7 @@ from gkit.basefield import (
 )
 from gkit.errors import DivisionByZero, InternalError, NotAPthPower, NotAUnit, TypeMismatch
 from gkit.linalg import row_reduce
-from gkit.polys import SparsePoly, _dense_mul
+from gkit.polys import FpDomain, SparsePoly, ZmodDomain, _dense_mul
 from gkit.sampling import rand_etale_elem, rand_field_elem
 
 
@@ -374,3 +374,18 @@ def test_elements_of_different_fields_differ():
     assert t != PrimeParams(2, 1, ["s"]).gen(0)
     with pytest.raises(TypeMismatch):
         t * PrimeParams(3, 1).gen(0)
+
+
+def test_sums_of_polynomials_over_different_moduli_are_refused():
+    """Z/4 and Z/8 numerators do not add; the modulus decides, so F_p and
+    Z/p numerators, whose domains compare unequal, still do."""
+    a = SparsePoly(ZmodDomain(4), 1, {(0,): 1})
+    b = SparsePoly(ZmodDomain(8), 1, {(1,): 5})
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(TypeMismatch, match="Z/"):
+                op(x, y)
+    f = SparsePoly(FpDomain(3), 1, {(0,): 2})
+    g = SparsePoly(ZmodDomain(3), 1, {(0,): 1, (1,): 2})
+    assert FpDomain(3) != ZmodDomain(3)
+    assert (f + g).terms == {(1,): 2} and (f - g).terms == {(0,): 1, (1,): 1}

@@ -100,6 +100,30 @@ def test_point_transfer_checks_lengths(worked_example):
                 G.coords_to_point(X, pres, wrong)
 
 
+def test_is_solution_checks_the_number_of_values(worked_example, params2):
+    """A value list shorter or longer than the symbol list is refused,
+    not evaluated as if the missing values were zero or the extra ones
+    absent."""
+    X, _ = worked_example
+    pres = G.greenberg_transform(X)
+    zero, one = params2.zero(), params2.one()
+    assert len(pres.symbols) == 3 and pres.is_solution([zero, one, zero])
+    for values in ([zero, one], [zero, one, zero, one]):
+        with pytest.raises(TypeMismatch, match=f"^{len(values)} values for 3 symbols$"):
+            pres.is_solution(values)
+
+
+def test_nullity_counts_free_unknowns(params2):
+    from gkit.linalg import nullity
+
+    zero, one, t = params2.zero(), params2.one(), params2.gen(0)
+    assert nullity([], 3, zero) == 3
+    assert nullity([], 0, zero) == 0
+    assert nullity([[zero, zero]], 2, zero) == 2
+    assert nullity([[one, t], [t, t * t]], 2, zero) == 1
+    assert nullity([[one, zero], [zero, t]], 2, zero) == 0
+
+
 def test_linear_pinning(params2, base_unram2):
     alg = base_unram2.algebra()
     tau = alg.teich(params2.gen(0))

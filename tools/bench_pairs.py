@@ -1,0 +1,104 @@
+"""Alternated benchmark pairs: a git ref against the working tree.
+
+    python3 tools/bench_pairs.py REF --workload cohen_k --seeds 1-4 --seconds 10
+
+Checks REF out into a temporary git worktree and runs
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once there
+and once in the working tree for each seed, alternating which side runs
+first (seed by seed: REF first, then the working tree first).  Each side
+runs its own checkout's ``perfbench/`` and ``src/``.  For every gated
+metric of ``BENCHMARK.json`` it prints each pair, then per side the median,
+the quartiles and the min-max, and how many pairs the working tree won
+(ties count for neither side).  The worktree is removed at the end, also
+when a run fails.  Standard library only; run from anywhere inside the
+repository.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def parse_seeds(text):
+    """'1-4' or '1,3,7' (or a mix) as a list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def run_once(tree, workload, seed, seconds):
+    """The gated metrics of one benchmark run in ``tree``: the last line of
+    its standard output is the result JSON."""
+    done = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        print(f"  warning: {result['failed']} failed ops in {tree} seed {seed}", file=sys.stderr)
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def spread(values):
+    """median, (q1, q3), (min, max)."""
+    quart = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return statistics.median(values), (quart[0], quart[2]), (min(values), max(values))
+
+
+def report(gated, seeds, runs):
+    ref, work = runs["ref"], runs["work"]
+    for name, better in gated:
+        print(f"{name} ({better} is better)")
+        for seed, a, b in zip(seeds, ref, work):
+            print(f"  seed {seed}: ref {a[name]:.6g}  work {b[name]:.6g}")
+        for side, rows in (("ref ", ref), ("work", work)):
+            med, (q1, q3), (lo, hi) = spread([r[name] for r in rows])
+            print(f"  {side} median {med:.6g}  quartiles {q1:.6g}-{q3:.6g}  "
+                  f"min-max {lo:.6g}-{hi:.6g}")
+        sign = 1 if better == "higher" else -1
+        wins = sum(sign * (b[name] - a[name]) > 0 for a, b in zip(ref, work))
+        ratio = statistics.median(r[name] for r in work) / statistics.median(r[name] for r in ref)
+        print(f"  work won {wins} of {len(ref)} pairs; median work/ref = {ratio:.3f}")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("ref", help="the git ref to compare the working tree against")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", default="1-4", type=parse_seeds)
+    ap.add_argument("--seconds", type=float, default=10)
+    args = ap.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        gated = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        ref_tree = os.path.join(tmp, "ref")
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", "--quiet",
+                        ref_tree, args.ref], check=True)
+        try:
+            runs = {"ref": [], "work": []}
+            for n, seed in enumerate(args.seeds):
+                order = [("ref", ref_tree), ("work", ROOT)]
+                for side, tree in order if n % 2 == 0 else order[::-1]:
+                    runs[side].append(run_once(tree, args.workload, seed, args.seconds))
+                    print(f"seed {seed} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", ref_tree],
+                           check=False)
+    print(f"workload {args.workload}, seeds {args.seeds}, {args.seconds:g} s per run, "
+          f"ref {args.ref} against the working tree")
+    report(gated, args.seeds, runs)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
