@@ -14,6 +14,10 @@ nonzero coefficients.  The same core drives three instantiations:
 ``format_sym_poly`` is the one printer, also for the numerators and
 denominators of elements of k.
 
+Over F_p, ``poly_gcd`` keeps fractions in k in lowest terms.  It works on
+recursive dense lists, one level per variable its operands involve, for
+every number of variables.
+
 Monomial order is graded lexicographic throughout: compare total degree,
 then the exponent tuple.
 """
@@ -368,8 +372,9 @@ def format_sym_poly(poly, symbols):
 # ---------------------------------------------------------------------------
 # F_p-specific helpers: exact division, gcd, p-th roots.
 #
-# Fractions over F_p(t) drive everything, so the univariate case gets dense
-# integer-list fast paths; the generic sparse code handles d >= 2.
+# Fractions over F_p(t_1..t_d) drive everything.  Products and exact
+# quotients in one variable take dense integer-list fast paths, and gcds run
+# on recursive dense lists built from them, for every d.
 # ---------------------------------------------------------------------------
 
 
@@ -418,7 +423,7 @@ def _from_dense(coeffs, domain, nvars, v):
 
 
 def _dense_trim(a):
-    while a and a[-1] == 0:
+    while a and not a[-1]:
         a.pop()
     return a
 
@@ -541,67 +546,6 @@ def exact_div(f, g):
     return SparsePoly(dom, f.nvars, quot)
 
 
-def _coeffs_in_var(f, v):
-    """View f as univariate in variable v: degree -> coefficient polynomial."""
-    out = {}
-    for exps, c in f.terms.items():
-        d = exps[v]
-        e2 = exps[:v] + (0,) + exps[v + 1 :]
-        coeff = out.setdefault(d, {})
-        prev = coeff.get(e2)
-        s = f.domain.add(prev, c) if prev is not None else c
-        if f.domain.is_zero(s):
-            coeff.pop(e2, None)
-        else:
-            coeff[e2] = s
-    return {
-        d: SparsePoly(f.domain, f.nvars, terms) for d, terms in out.items() if terms
-    }
-
-
-def _from_var_coeffs(domain, nvars, v, coeffs):
-    terms = {}
-    for d, poly in coeffs.items():
-        for exps, c in poly.terms.items():
-            e = exps[:v] + (d,) + exps[v + 1 :]
-            terms[e] = c
-    return SparsePoly(domain, nvars, terms)
-
-
-def _content_in_var(f, v):
-    coeffs = list(_coeffs_in_var(f, v).values())
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = poly_gcd(g, c)
-    return g
-
-
-def _pseudo_rem(a, b, v):
-    """Pseudo-remainder of a by b as univariate polynomials in variable v."""
-    ca = _coeffs_in_var(a, v)
-    cb = _coeffs_in_var(b, v)
-    db = max(cb)
-    lb = cb[db]
-    while ca:
-        da = max(ca)
-        if da < db:
-            break
-        la = ca.pop(da)
-        # a <- lb*a - la*x^(da-db)*b
-        new = {}
-        for d, c in ca.items():
-            new[d] = c * lb
-        for d, c in cb.items():
-            if d == db:
-                continue
-            shift = d + da - db
-            prev = new.get(shift)
-            t = la * c
-            new[shift] = (prev - t) if prev is not None else -t
-        ca = {d: c for d, c in new.items() if not c.is_zero()}
-    return _from_var_coeffs(a.domain, a.nvars, v, ca)
-
-
 def monic(f):
     """Scale so the graded-lex leading coefficient is 1."""
     if f.is_zero():
@@ -612,48 +556,168 @@ def monic(f):
     return f.scale(f.domain.inv(lc))
 
 
-def poly_gcd(f, g):
-    """GCD over F_p[x_1..x_d]: dense Euclid when univariate, primitive
-    pseudo-remainder sequences otherwise.
+# Recursive dense polynomials over F_p, for gcds.  A level-0 element is an
+# int in [0, p); a level-1 element is a trimmed int list indexed by degree,
+# as in the dense helpers above; a level-j element is a trimmed list of
+# level-(j-1) elements indexed by the degree in the j-th active variable.
+# Zero is [] at every level from 1 up.
 
-    The result is normalized to leading coefficient 1.
-    """
+
+def _rd_in(f, vs):
+    """f at level len(vs), over the active variables vs (ascending, so the
+    highest is outermost)."""
+    if len(vs) == 1:
+        return _to_dense(f, vs[0])
+    groups = {}
+    for e, c in f.terms.items():
+        groups.setdefault(e[vs[-1]], {})[e] = c
+    out = [[]] * (max(groups) + 1)
+    for i, terms in groups.items():
+        out[i] = _rd_in(SparsePoly(f.domain, f.nvars, terms), vs[:-1])
+    return out
+
+
+def _rd_out(a, vs, domain, nvars):
+    """The SparsePoly of a level-len(vs) element; inverse of ``_rd_in``."""
+    if len(vs) == 1:
+        return _from_dense(a, domain, nvars, vs[0])
+    v = vs[-1]
+    terms = {}
+    for i, x in enumerate(a):
+        if x:
+            for e, c in _rd_out(x, vs[:-1], domain, nvars).terms.items():
+                terms[e[:v] + (i,) + e[v + 1 :]] = c
+    return SparsePoly(domain, nvars, terms)
+
+
+def _rd_is_const(a, k):
+    """Whether a nonzero level-k element is a constant."""
+    for _ in range(k):
+        if len(a) != 1:
+            return False
+        a = a[0]
+    return True
+
+
+def _rd_add(a, b, k, p, sign=1):
+    """a + sign*b at level k."""
+    if not b:
+        return a
+    if len(a) < len(b):
+        a = a + [0 if k == 1 else []] * (len(b) - len(a))
+    if k == 1:
+        out = [(x + sign * y) % p for x, y in zip(a, b)]
+    else:
+        out = [_rd_add(x, y, k - 1, p, sign) for x, y in zip(a, b)]
+    return _dense_trim(out + a[len(b) :])
+
+
+def _rd_mul(a, b, k, p):
+    """a * b at level k: schoolbook, but packed (``_dense_mul``) at level 1
+    once the operands are long enough for packing to pay."""
+    if not a or not b:
+        return []
+    if k == 1:
+        if len(a) * len(b) > 32:
+            return _dense_mul(a, b, p)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return [c % p for c in out]
+    out = [[]] * (len(a) + len(b) - 1)
+    b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b:
+                out[i + j] = _rd_add(out[i + j], _rd_mul(x, y, k - 1, p), k - 1, p)
+    return out
+
+
+def _rd_div(a, b, k, p):
+    """a / b at level k when the division is exact (b nonzero)."""
+    if k == 1:
+        return _dense_divmod(a, b, p)[0]
+    a = list(a)
+    db = len(b) - 1
+    quot = [[]] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        if a[i]:
+            q = quot[i - db] = _rd_div(a[i], b[db], k - 1, p)
+            for j in range(db):
+                a[i - db + j] = _rd_add(a[i - db + j], _rd_mul(q, b[j], k - 1, p), k - 1, p, -1)
+    return quot
+
+
+def _rd_primitive(a, k, p):
+    """(content, primitive part) of a nonzero level-k element, k >= 2; the
+    content is the gcd of its level-(k-1) coefficients, None when one of
+    them is a constant."""
+    coeffs = [x for x in a if x]
+    if any(_rd_is_const(x, k - 1) for x in coeffs):
+        return None, a
+    c = coeffs[0]
+    for x in coeffs[1:]:
+        c = _rd_gcd(c, x, k - 1, p)
+        if _rd_is_const(c, k - 1):
+            return None, a
+    return c, [_rd_div(x, c, k - 1, p) for x in a]
+
+
+def _rd_prem(a, b, k, p):
+    """Pseudo-remainder of a by b at level k, deg a >= deg b >= 1: the
+    remainder of lc(b)^(deg a - deg b + 1) * a, with no division."""
+    lb, db = b[-1], len(b) - 1
+    a = list(a)
+    while len(a) > db:
+        la = a.pop()
+        s = len(a) - db
+        a = [_rd_mul(x, lb, k - 1, p) for x in a]
+        for j in range(db):
+            a[s + j] = _rd_add(a[s + j], _rd_mul(la, b[j], k - 1, p), k - 1, p, -1)
+        _dense_trim(a)
+    return a
+
+
+def _rd_gcd(a, b, k, p):
+    """A gcd of two nonzero level-k elements, up to a constant factor:
+    Euclid at level 1; above it the primitive pseudo-remainder sequence in
+    the outermost variable (W. S. Brown, J. ACM 18, 1971), times the gcd
+    of the contents."""
+    if k == 1:
+        return _dense_gcd(a, b, p)
+    ca, a = _rd_primitive(a, k, p)
+    cb, b = _rd_primitive(b, k, p)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _rd_prem(a, b, k, p)
+        a, b = b, r and _rd_primitive(r, k, p)[1]
+    # a nonzero b is free of the variable, so a constant once primitive:
+    # the primitive parts are coprime
+    head = b or a
+    if ca is None or cb is None:
+        return head
+    c = _rd_gcd(ca, cb, k - 1, p)
+    return [_rd_mul(c, x, k - 1, p) for x in head]
+
+
+def poly_gcd(f, g):
+    """GCD over F_p[x_1..x_d], normalized to leading coefficient 1.
+
+    Both operands go once into recursive dense form over the variables
+    that either involves, and the gcd (``_rd_gcd``: Euclid for one
+    variable, the primitive pseudo-remainder sequence for more) comes
+    back once."""
     if f.is_zero():
         return monic(g)
     if g.is_zero():
         return monic(f)
+    dom, n = f.domain, f.nvars
     if f.is_constant() or g.is_constant():
-        return SparsePoly.constant(f.domain, f.nvars, f.domain.one)
-    ok, uv = _single_var(f, g)
-    if ok:
-        p = f.domain.p
-        out = _dense_gcd(_to_dense(f, uv), _to_dense(g, uv), p)
-        return _from_dense(out, f.domain, f.nvars, uv)
-    fv, gv = _active_vars(f), _active_vars(g)
-    if fv != gv:
-        # a variable in only one of them: the gcd cannot involve it
-        v = min(fv ^ gv)
-        if v in gv:
-            return poly_gcd(f, _content_in_var(g, v))
-        return poly_gcd(_content_in_var(f, v), g)
-    v = max(fv)
-    cf = _content_in_var(f, v)
-    cg = _content_in_var(g, v)
-    a = exact_div(f, cf)
-    b = exact_div(g, cg)
-    if a.degree_in(v) < b.degree_in(v):
-        a, b = b, a
-    while not b.is_zero() and b.degree_in(v) > 0:
-        r = _pseudo_rem(a, b, v)
-        if not r.is_zero():
-            r = exact_div(r, _content_in_var(r, v))
-        a, b = b, r
-    if b.is_zero():
-        head = exact_div(a, _content_in_var(a, v))
-    else:
-        # nonzero remainder free of v: the primitive parts are coprime
-        head = SparsePoly.constant(f.domain, f.nvars, f.domain.one)
-    return monic(poly_gcd(cf, cg) * head)
+        return SparsePoly.constant(dom, n, dom.one)
+    vs = [0] if n == 1 else sorted(_active_vars(f) | _active_vars(g))
+    return monic(_rd_out(_rd_gcd(_rd_in(f, vs), _rd_in(g, vs), len(vs), dom.p), vs, dom, n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Alternated benchmark pairs: a git ref against the working tree.
 
-    python3 tools/bench_pairs.py REF --workload cohen_k --seeds 1-4 --seconds 10
+    python3 tools/bench_pairs.py REF --workload cohen_k --seeds 1-4 --seconds 10 [--trace]
 
 Checks REF out into a temporary git worktree and runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once there
@@ -9,9 +9,11 @@ first (seed by seed: REF first, then the working tree first).  Each side
 runs its own checkout's ``perfbench/`` and ``src/``.  For every gated
 metric of ``BENCHMARK.json`` it prints each pair, then per side the median,
 the quartiles and the min-max, and how many pairs the working tree won
-(ties count for neither side).  The worktree is removed at the end, also
-when a run fails.  Standard library only; run from anywhere inside the
-repository.
+(ties count for neither side).  With ``--trace`` each side also runs
+``perfbench/run.py --workload W --seed S --trace 1`` once per seed, and
+every per-layer metric is printed per seed as ref, work and work/ref.  The
+worktree is removed at the end, also when a run fails.  Standard library
+only; run from anywhere inside the repository.
 """
 
 import argparse
@@ -26,20 +28,28 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def parse_seeds(text):
-    """'1-4' or '1,3,7' (or a mix) as a list of ints."""
+    """'1-4' or '1,3,7' (or a mix) as a list of ints; an empty list, a
+    descending range or a part that is no int is an argparse error."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        try:
+            lo, hi = int(lo), int(hi or lo)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{part!r} is not a seed or a range A-B") from None
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"descending seed range {part!r}")
+        seeds += range(lo, hi + 1)
     return seeds
 
 
-def run_once(tree, workload, seed, seconds):
-    """The gated metrics of one benchmark run in ``tree``: the last line of
-    its standard output is the result JSON."""
+def run_once(tree, workload, seed, seconds, trace=0):
+    """The metrics of one benchmark run in ``tree`` (the gated ones, or with
+    ``trace`` the per-layer ones): the last line of its standard output is
+    the result JSON."""
     done = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
     )
     result = json.loads(done.stdout.strip().splitlines()[-1])
@@ -70,12 +80,30 @@ def report(gated, seeds, runs):
         print(f"  work won {wins} of {len(ref)} pairs; median work/ref = {ratio:.3f}")
 
 
+def report_trace(seeds, traces):
+    ref, work = traces["ref"], traces["work"]
+    names = list(dict.fromkeys(name for rows in (ref, work) for row in rows for name in row))
+    print("per-layer metrics of the traced runs")
+    for name in names:
+        print(name)
+        for seed, a, b in zip(seeds, ref, work):
+            x, y = a.get(name), b.get(name)
+            ratio = f"{y / x:.3f}" if x and y is not None else "-"
+            print(f"  seed {seed}: ref {_show(x)}  work {_show(y)}  work/ref {ratio}")
+
+
+def _show(value):
+    return "-" if value is None else f"{value:.6g}"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("ref", help="the git ref to compare the working tree against")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="1-4", type=parse_seeds)
     ap.add_argument("--seconds", type=float, default=10)
+    ap.add_argument("--trace", action="store_true",
+                    help="also compare the per-layer metrics of one traced run per side and seed")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -86,17 +114,22 @@ def main(argv=None):
                         ref_tree, args.ref], check=True)
         try:
             runs = {"ref": [], "work": []}
+            traces = {"ref": [], "work": []}
             for n, seed in enumerate(args.seeds):
                 order = [("ref", ref_tree), ("work", ROOT)]
                 for side, tree in order if n % 2 == 0 else order[::-1]:
                     runs[side].append(run_once(tree, args.workload, seed, args.seconds))
                     print(f"seed {seed} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
+                    if args.trace:
+                        traces[side].append(run_once(tree, args.workload, seed, args.seconds, 1))
         finally:
             subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", ref_tree],
                            check=False)
     print(f"workload {args.workload}, seeds {args.seeds}, {args.seconds:g} s per run, "
           f"ref {args.ref} against the working tree")
     report(gated, args.seeds, runs)
+    if args.trace:
+        report_trace(args.seeds, traces)
     return 0
 
 
