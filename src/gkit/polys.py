@@ -16,7 +16,8 @@ denominators of elements of k.
 
 Over F_p, ``poly_gcd`` keeps fractions in k in lowest terms.  It works on
 recursive dense lists, one level per variable its operands involve, for
-every number of variables.
+every number of variables, in x rather than x^m where the operands are
+polynomials in x^m.
 
 Monomial order is graded lexicographic throughout: compare total degree,
 then the exponent tuple.
@@ -26,6 +27,8 @@ import heapq
 import operator
 import sys
 from array import array
+from itertools import chain
+from math import gcd
 
 from .errors import InternalError, ResourceLimit, TypeMismatch
 
@@ -614,7 +617,8 @@ def _rd_add(a, b, k, p, sign=1):
 
 def _rd_mul(a, b, k, p):
     """a * b at level k: schoolbook, but packed (``_dense_mul``) at level 1
-    once the operands are long enough for packing to pay."""
+    once the length product passes 32, where packing starts to pay (both
+    about 3.6 us at 4 x 8 over F_3, CPython 3.11 on x86-64)."""
     if not a or not b:
         return []
     if k == 1:
@@ -637,7 +641,10 @@ def _rd_mul(a, b, k, p):
 def _rd_div(a, b, k, p):
     """a / b at level k when the division is exact (b nonzero)."""
     if k == 1:
-        return _dense_divmod(a, b, p)[0]
+        quot, rem = _dense_divmod(a, b, p)
+        if rem:
+            raise InternalError("inexact polynomial division")
+        return quot
     a = list(a)
     db = len(b) - 1
     quot = [[]] * max(len(a) - db, 0)
@@ -646,6 +653,8 @@ def _rd_div(a, b, k, p):
             q = quot[i - db] = _rd_div(a[i], b[db], k - 1, p)
             for j in range(db):
                 a[i - db + j] = _rd_add(a[i - db + j], _rd_mul(q, b[j], k - 1, p), k - 1, p, -1)
+    if any(a[:db]):
+        raise InternalError("inexact polynomial division")
     return quot
 
 
@@ -702,13 +711,29 @@ def _rd_gcd(a, b, k, p):
     return [_rd_mul(c, x, k - 1, p) for x in head]
 
 
+def _exponent_gcd(f, g, v):
+    """The gcd of the exponents of variable v in f and g."""
+    m = 0
+    for e in chain(f.terms, g.terms):
+        m = gcd(m, e[v])
+        if m == 1:
+            break
+    return m
+
+
+def _rescale(f, ms, op):
+    """f with each exponent of variable v replaced by op(e, ms[v])."""
+    return SparsePoly(f.domain, f.nvars, {tuple(map(op, e, ms)): c for e, c in f.terms.items()})
+
+
 def poly_gcd(f, g):
     """GCD over F_p[x_1..x_d], normalized to leading coefficient 1.
 
-    Both operands go once into recursive dense form over the variables
-    that either involves, and the gcd (``_rd_gcd``: Euclid for one
-    variable, the primitive pseudo-remainder sequence for more) comes
-    back once."""
+    Where every exponent of a variable x in f and g is a multiple of m
+    (p-th powers have m = p), the gcd is taken in x instead of x^m.  Both
+    operands go once into recursive dense form over the variables that
+    either involves, and the gcd (``_rd_gcd``: Euclid for one variable,
+    the primitive pseudo-remainder sequence for more) comes back once."""
     if f.is_zero():
         return monic(g)
     if g.is_zero():
@@ -717,7 +742,14 @@ def poly_gcd(f, g):
     if f.is_constant() or g.is_constant():
         return SparsePoly.constant(dom, n, dom.one)
     vs = [0] if n == 1 else sorted(_active_vars(f) | _active_vars(g))
-    return monic(_rd_out(_rd_gcd(_rd_in(f, vs), _rd_in(g, vs), len(vs), dom.p), vs, dom, n))
+    ms = [1] * n
+    for v in vs:
+        ms[v] = _exponent_gcd(f, g, v)
+    deflated = max(ms) > 1
+    if deflated:
+        f, g = _rescale(f, ms, operator.floordiv), _rescale(g, ms, operator.floordiv)
+    h = _rd_out(_rd_gcd(_rd_in(f, vs), _rd_in(g, vs), len(vs), dom.p), vs, dom, n)
+    return monic(_rescale(h, ms, operator.mul) if deflated else h)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,17 @@ def test_gcd_matches_sparse_prs(d, p):
             _check(g, f)
 
 
+def _best_time(fn, repeats):
+    """The shortest of ``repeats`` timed calls of fn, and its result: a
+    loaded machine can only lengthen a run."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, out
+
+
 def test_gcd_of_bivariate_30_term_polynomials_is_fast():
     """Five pairs of random 30-term polynomials over F_3, of degree < 10
     in each variable: coprime operands drive the pseudo-remainder degrees
@@ -161,9 +172,29 @@ def test_gcd_of_bivariate_30_term_polynomials_is_fast():
         return SparsePoly(FpDomain(3), 2, {e: rng.randrange(1, 3) for e in rng.sample(grid, 30)})
 
     pairs = [(rand(), rand()) for _ in range(5)]
-    start = time.perf_counter()
-    gcds = [poly_gcd(f, g) for f, g in pairs]
-    assert time.perf_counter() - start < 0.6
+    elapsed, gcds = _best_time(lambda: [poly_gcd(f, g) for f, g in pairs], 3)
+    assert elapsed < 0.6
     for (f, g), h in zip(pairs, gcds):
         assert h.leading()[1] == 1
         assert exact_div(f, h) * h == f and exact_div(g, h) * h == g
+
+
+def test_gcd_of_p_th_powers_in_three_variables_is_fast():
+    """Frobenius images over F_5 in three variables, f = (h a)^25 against
+    g = (h b)^5: every exponent is a multiple of 5, so the gcd is taken on
+    lists 5 times shorter per variable.  Without that the four pairs took
+    2.5-3.0 s, and the sparse PRS ran past 10 s on the first."""
+    p, d = 5, 3
+    pairs = []
+    for seed in range(4):
+        rng = random.Random(f"{d} {p} {seed}")
+        h, a, b = (_poly(rng, p, d, rng.randrange(2, 5), 2) for _ in range(3))
+        pairs.append((h, poly_frobenius(h * a, p**2), poly_frobenius(h * b, p)))
+    elapsed, gcds = _best_time(lambda: [poly_gcd(f, g) for _, f, g in pairs], 2)
+    assert elapsed < 2.0
+    for (h, f, g), r in zip(pairs, gcds):
+        assert r.leading()[1] == 1
+        exact_div(r, poly_frobenius(h, p))  # the planted h^5 divides it
+        cofactors = [exact_div(x, r) for x in (f, g)]
+        assert [c * r for c in cofactors] == [f, g]
+        assert poly_gcd(*cofactors).is_constant()
