@@ -159,14 +159,18 @@ def _check_symbol_cap(count, symbol_cap):
 
 
 def check_stage_symbols(X: AffinePresentation, stage, symbol_cap=DEFAULT_SYMBOL_CAP):
-    """Stage 0's symbols, after raising, before any stage is built, the
-    ResourceLimit of the first stage s <= ``stage`` of X's transform with
-    more than ``symbol_cap`` symbols: stage s has n_0 * (p^d)^s of them,
-    n_0 those of stage 0."""
-    symbols = [f"z{var}.{j}.{_word(i)}.{w}" for var in X.variables for w, j, i in _slots(X.base)]
+    """Stage 0's symbols, after raising, before any stage or slot list is
+    built, the ResourceLimit of the first stage s <= ``stage`` of X's
+    transform with more than ``symbol_cap`` symbols: stage s has
+    n_0 * (p^d)^s of them, n_0 those of stage 0, counted per variable as
+    the (p^(m-1-j))^d slots at each position j < component_bound(w) of
+    each component w."""
+    base, size = X.base, X.base.params.p ** X.base.params.d
+    n_0 = len(X.variables) * sum(size ** (base.m - 1 - j) for w in range(base.e)
+                                 for j in range(base.component_bound(w)))
     for s in range(stage + 1):
-        _check_symbol_cap(len(symbols) * (X.base.params.p ** X.base.params.d) ** s, symbol_cap)
-    return symbols
+        _check_symbol_cap(n_0 * size ** s, symbol_cap)
+    return [f"z{var}.{j}.{_word(i)}.{w}" for var in X.variables for w, j, i in _slots(base)]
 
 
 def greenberg_transform(
@@ -176,8 +180,8 @@ def greenberg_transform(
     symbol_cap=DEFAULT_SYMBOL_CAP,
 ):
     base = X.base
-    slots = _slots(base)
     symbols = check_stage_symbols(X, stage, symbol_cap)
+    slots = _slots(base)
     ring = SymbolicRing(base.params, symbols, monomial_cap=monomial_cap)
     algebra = base.algebra(ring)
     generic = _point(algebra, slots, [ring.variable(s) for s in symbols], len(X.variables))
@@ -224,8 +228,8 @@ def point_to_coords(X: AffinePresentation, pres: GreenbergPresentation, point):
             raise NotASolution(f"equation {idx} does not vanish at the point")
     slots, zero = _slots(X.base), X.base.params.zero()
     coords = [c for value in values for c in _coords(value, slots, zero)]
-    idxs = multi_indices(X.base.params.p, X.base.params.d)
-    for _ in range(pres.stage):
+    for _ in range(pres.stage):  # stage 0 lists no digit indices, p^d may not fit
+        idxs = multi_indices(X.base.params.p, X.base.params.d)
         coords = [pbasis_expand(c)[i] for c in coords for i in idxs]
     if not pres.is_solution(coords):
         raise NotASolution("transported coordinates fail the emitted system")
@@ -239,8 +243,8 @@ def coords_to_point(X: AffinePresentation, pres: GreenbergPresentation, coords):
     if len(coords) != len(pres.symbols):
         raise TypeMismatch(f"expected {len(pres.symbols)} coordinates, got {len(coords)}")
     params = X.base.params
-    idxs = multi_indices(params.p, params.d)
-    for _ in range(pres.stage):
+    for _ in range(pres.stage):  # as in point_to_coords
+        idxs = multi_indices(params.p, params.d)
         coords = [
             DigitExpansion(params, dict(zip(idxs, coords[v : v + len(idxs)]))).reconstruct()
             for v in range(0, len(coords), len(idxs))

@@ -14,16 +14,15 @@ nonzero coefficients.  The same core drives three instantiations:
 ``format_sym_poly`` is the one printer, also for the numerators and
 denominators of elements of k.
 
-Over F_p, ``poly_gcd`` keeps fractions in k in lowest terms.  It works on
-recursive dense lists, one level per variable its operands involve, for
-every number of variables, in x rather than x^m where the operands are
-polynomials in x^m.
+Over F_p, ``poly_gcd`` and ``exact_div`` keep fractions in k in lowest
+terms.  Both work on recursive dense lists, one level per variable their
+operands involve, for every number of variables; the gcd is taken in x
+rather than x^m where the operands are polynomials in x^m.
 
 Monomial order is graded lexicographic throughout: compare total degree,
 then the exponent tuple.
 """
 
-import heapq
 import operator
 import sys
 from array import array
@@ -113,12 +112,6 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
-def _grlex_desc(exps):
-    """A heap item that orders exponent tuples by decreasing graded-lex
-    key; the tuple itself rides along."""
-    return (-sum(exps), tuple(-a for a in exps), exps)
-
-
 class SparsePoly:
     __slots__ = ("domain", "nvars", "terms")
 
@@ -191,8 +184,9 @@ class SparsePoly:
         if not self.terms or not other.terms:
             return SparsePoly(dom, self.nvars, {})
         if isinstance(dom, ZmodDomain) and (len(self.terms) + len(other.terms)) > 16:
-            ok, v = _single_var(self, other)
-            if ok and v is not None:
+            active = _active_vars(self) | _active_vars(other)
+            if len(active) == 1:
+                (v,) = active
                 da, db = self.degree_in(v), other.degree_in(v)
                 if da + db <= 8 * (len(self.terms) + len(other.terms)):
                     out = _dense_mul(_to_dense(self, v), _to_dense(other, v), dom.q)
@@ -375,9 +369,9 @@ def format_sym_poly(poly, symbols):
 # ---------------------------------------------------------------------------
 # F_p-specific helpers: exact division, gcd, p-th roots.
 #
-# Fractions over F_p(t_1..t_d) drive everything.  Products and exact
-# quotients in one variable take dense integer-list fast paths, and gcds run
-# on recursive dense lists built from them, for every d.
+# Fractions over F_p(t_1..t_d) drive everything.  Products in one variable
+# take a dense integer-list fast path, and gcds and exact quotients run on
+# recursive dense lists built from it, for every d.
 # ---------------------------------------------------------------------------
 
 
@@ -388,21 +382,6 @@ def _active_vars(f):
             if e:
                 out.add(v)
     return out
-
-
-def _single_var(f, g):
-    """The unique active variable of both polynomials, if there is at most
-    one; returns (found, var or None)."""
-    if f.nvars == 1:
-        if (f.terms and f.degree_in(0)) or (g.terms and g.degree_in(0)):
-            return True, 0
-        return True, None
-    active = _active_vars(f) | _active_vars(g)
-    if not active:
-        return True, None
-    if len(active) == 1:
-        return True, next(iter(active))
-    return False, None
 
 
 def _to_dense(f, v):
@@ -419,8 +398,7 @@ def _from_dense(coeffs, domain, nvars, v):
     for i, c in enumerate(coeffs):
         if c:
             e = list(base)
-            if v is not None:
-                e[v] = i
+            e[v] = i
             terms[tuple(e)] = c
     return SparsePoly(domain, nvars, terms)
 
@@ -502,53 +480,6 @@ def poly_frobenius(f, q):
     return SparsePoly(f.domain, f.nvars, {tuple(a * q for a in e): c for e, c in f.terms.items()})
 
 
-def exact_div(f, g):
-    """Quotient f/g when the division is exact (graded-lex long division)."""
-    dom = f.domain
-    if g.is_zero():
-        raise InternalError("exact division by zero polynomial")
-    if isinstance(dom, FpDomain):
-        ok, v = _single_var(f, g)
-        if ok:
-            if v is None:
-                return f.scale(dom.inv(g.constant_value()))
-            quot, rem = _dense_divmod(_to_dense(f, v), _to_dense(g, v), dom.p)
-            if rem:
-                raise InternalError("inexact polynomial division")
-            return _from_dense(quot, dom, f.nvars, v)
-    # the remainder's terms wait in a heap, leading term first; a term
-    # dropped from the remainder stays behind in the heap and is skipped
-    quot = {}
-    rem = dict(f.terms)
-    heap = [_grlex_desc(e) for e in rem]
-    heapq.heapify(heap)
-    ge, gc = g.leading()
-    gc_inv = dom.inv(gc)
-    while heap:
-        e = heapq.heappop(heap)[2]
-        c = rem.pop(e, None)
-        if c is None:
-            continue
-        qe = tuple(a - b for a, b in zip(e, ge))
-        if any(x < 0 for x in qe):
-            raise InternalError("inexact polynomial division")
-        qc = dom.mul(c, gc_inv)
-        quot[qe] = qc
-        for e2, c2 in g.terms.items():
-            if e2 == ge:  # cancels the leading term e
-                continue
-            te = tuple(a + b for a, b in zip(qe, e2))
-            prev = rem.get(te)
-            s = dom.neg(dom.mul(qc, c2)) if prev is None else dom.add(prev, dom.neg(dom.mul(qc, c2)))
-            if dom.is_zero(s):
-                rem.pop(te, None)
-            else:
-                if prev is None:
-                    heapq.heappush(heap, _grlex_desc(te))
-                rem[te] = s
-    return SparsePoly(dom, f.nvars, quot)
-
-
 def monic(f):
     """Scale so the graded-lex leading coefficient is 1."""
     if f.is_zero():
@@ -559,11 +490,11 @@ def monic(f):
     return f.scale(f.domain.inv(lc))
 
 
-# Recursive dense polynomials over F_p, for gcds.  A level-0 element is an
-# int in [0, p); a level-1 element is a trimmed int list indexed by degree,
-# as in the dense helpers above; a level-j element is a trimmed list of
-# level-(j-1) elements indexed by the degree in the j-th active variable.
-# Zero is [] at every level from 1 up.
+# Recursive dense polynomials over F_p, for gcds and exact division.  A
+# level-0 element is an int in [0, p); a level-1 element is a trimmed int
+# list indexed by degree, as in the dense helpers above; a level-j element
+# is a trimmed list of level-(j-1) elements indexed by the degree in the
+# j-th active variable.  Zero is [] at every level from 1 up.
 
 
 def _rd_in(f, vs):
@@ -709,6 +640,22 @@ def _rd_gcd(a, b, k, p):
         return head
     c = _rd_gcd(ca, cb, k - 1, p)
     return [_rd_mul(c, x, k - 1, p) for x in head]
+
+
+def exact_div(f, g):
+    """Quotient f/g over F_p when the division is exact, InternalError when
+    it is not.  Both operands go once into recursive dense form over the
+    variables either involves, as in ``poly_gcd``, and ``_rd_div`` divides
+    level by level."""
+    if g.is_zero():
+        raise InternalError("exact division by zero polynomial")
+    dom, n = f.domain, f.nvars
+    if g.is_constant():
+        return f.scale(dom.inv(g.constant_value()))
+    if f.is_zero():
+        return f
+    vs = [0] if n == 1 else sorted(_active_vars(f) | _active_vars(g))
+    return _rd_out(_rd_div(_rd_in(f, vs), _rd_in(g, vs), len(vs), dom.p), vs, dom, n)
 
 
 def _exponent_gcd(f, g, v):

@@ -1,5 +1,5 @@
 """tools/bench_pairs.py rejects a seed list it could not run before it
-checks anything out."""
+checks anything out, and gives each gated metric one verdict."""
 
 import importlib.util
 import os
@@ -32,3 +32,33 @@ def test_bad_seeds_are_a_usage_error_before_any_checkout(bench_pairs, monkeypatc
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(["HEAD", "--workload", "field_k", "--seeds", seeds])
     assert exc.value.code == 2
+
+
+REF = [100.0 + i for i in range(10)]  # median 104.5, quartiles 101.75-107.25
+WIDE = [10.0 * i for i in range(1, 11)]  # median 55, quartiles 27.5-82.5
+
+
+@pytest.mark.parametrize("better, ref, work, want", [
+    # 10 of 10 won, medians 20 apart against an interquartile distance of 5.5
+    ("higher", REF, [x + 20 for x in REF], "gain"),
+    ("lower", REF, [x - 20 for x in REF], "gain"),
+    # 9 of 10 won is still a gain; the medians are 9 apart
+    ("higher", REF, [x + 10 for x in REF[:9]] + [REF[9]], "gain"),
+    # 8 of 10 is not, however far apart the medians
+    ("higher", REF, [x + 20 for x in REF[:8]] + REF[8:], "within bound"),
+    # won every pair, but by less than the interquartile distance
+    ("higher", REF, [x + 1 for x in REF], "within bound"),
+    # lost every pair, by less than the bound
+    ("higher", REF, [x - 20 for x in REF], "within bound"),
+    # the median 30% worse, against a bound of 25%
+    ("higher", REF, [x * 0.7 for x in REF], "worse"),
+    ("lower", REF, [x * 1.3 for x in REF], "worse"),
+    # the parent spreads wider than the bound: a small loss cannot be told
+    ("higher", WIDE, [x - 1 for x in WIDE], "unresolved"),
+    # and neither can a win that overlaps the parent's runs
+    ("higher", WIDE, [x + 1 for x in WIDE], "unresolved"),
+    # unless every work run beats every ref run
+    ("higher", WIDE, [101.0] * 10, "within bound"),
+])
+def test_verdict(bench_pairs, better, ref, work, want):
+    assert bench_pairs.verdict(better, 0.25, ref, work) == want

@@ -717,3 +717,66 @@ def test_large_prime_digits_are_sparse(tmp_path):
     assert time.monotonic() - start < 5
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert records_of(proc.stdout) == [{"cmd": "units.level", "level": 0, "status": "ok"}]
+
+
+def _run_cli_within_1_gib(path):
+    """The CLI on a script in a child limited to 1 GiB of address space, so
+    a list of p^d entries fails fast instead of filling the machine."""
+    import resource
+    import time
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "gkit.cli", "--script", str(path)],
+                          capture_output=True, text=True, preexec_fn=limit)
+    assert time.monotonic() - start < 5
+    assert proc.stderr == "", proc.stderr
+    return proc
+
+
+def _large_p_script(ring, command=""):
+    return (
+        "base { p = 4294967291; pbasis = [t]; }\n"
+        f"ring A = {ring};\n"
+        "scheme X over A { vars [x]; eqs [ x - teich(t) ]; }\n"
+        f"greenberg X;\n{command}\n"
+    )
+
+
+@pytest.mark.parametrize("command, record", [
+    ("point push X (teich(t));", {"cmd": "point.push", "coords": ["t"], "stage": 0, "status": "ok"}),
+    ("point pull X (t);", {"cmd": "point.pull", "stage": 0, "status": "ok", "verified": True,
+                           "point": [{"components": [{"coords": {"0,0": "t"}, "n": 0}]}]}),
+], ids=["push", "pull"])
+def test_stage_0_point_transfer_at_a_large_prime(tmp_path, command, record):
+    """Stage 0 reads no digits, so point transfer at p = 4294967291 lists
+    none of the p digit indices; listing them ran out of memory."""
+    path = tmp_path / "bigp.gk"
+    path.write_text(_large_p_script("unramified(1)", command))
+    proc = _run_cli_within_1_gib(path)
+    assert proc.returncode == 0
+    presentation = {"equations": ["zx.0.0.0 + 4294967290*t"], "stage": 0, "symbols": ["zx.0.0.0"]}
+    assert records_of(proc.stdout) == [
+        {"cmd": "greenberg", "equations": 1, "presentation": presentation, "scheme": "X",
+         "stage": 0, "status": "ok", "symbols": 1},
+        record,
+    ]
+
+
+@pytest.mark.parametrize("ring, count", [
+    ("unramified(2)", 4294967292),
+    ("eisenstein(2, E = pi^2 - p)", 8589934584),
+], ids=["unramified", "eisenstein"])
+def test_symbol_cap_is_checked_before_any_slot_is_listed(tmp_path, ring, count):
+    """At level 2 and p = 4294967291 stage 0 has p + 1 slots per component;
+    the cap is met by counting them, where listing them ran out of
+    memory."""
+    path = tmp_path / "bigp.gk"
+    path.write_text(_large_p_script(ring))
+    proc = _run_cli_within_1_gib(path)
+    assert records_of(proc.stdout) == [{
+        "cmd": "greenberg", "status": "error",
+        "error": {"message": f"{count} symbols exceed the cap 5000", "type": "ResourceLimit"},
+    }]

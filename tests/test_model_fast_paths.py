@@ -146,8 +146,9 @@ def _chained_mul(f, g, cap=None):
     if not f.terms or not g.terms:
         return SparsePoly(dom, f.nvars, {})
     if len(f.terms) + len(g.terms) > 16:
-        ok, v = P._single_var(f, g)
-        if ok and v is not None:
+        active = P._active_vars(f) | P._active_vars(g)
+        if len(active) == 1:
+            (v,) = active
             da, db = f.degree_in(v), g.degree_in(v)
             if da + db <= 8 * (len(f.terms) + len(g.terms)):
                 out = P._dense_mul(P._to_dense(f, v), P._to_dense(g, v), dom.q)

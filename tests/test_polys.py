@@ -1,15 +1,58 @@
-"""poly_gcd over F_p[x_1..x_d] against the sparse primitive pseudo-remainder
-sequence it replaced, kept here as the oracle, and against the defining
-properties of a gcd."""
+"""poly_gcd and exact_div over F_p[x_1..x_d] against the sparse routes
+they replaced, kept here as oracles: the primitive pseudo-remainder
+sequence on exponent-tuple dicts and the graded-lex heap division.  The
+gcd is also checked against the defining properties of a gcd."""
 
+import heapq
 import random
 import time
 
 import pytest
 
+from gkit.errors import InternalError
 from gkit.polys import FpDomain, SparsePoly, exact_div, monic, poly_frobenius, poly_gcd
 
 PRIMES = (2, 3, 5, 4294967291)
+
+
+# -- oracle: graded-lex long division, the remainder's terms in a heap ---------
+
+
+def _heap_div(f, g):
+    """f / g when exact, else InternalError; a term dropped from the
+    remainder stays behind in the heap and is skipped."""
+    if g.is_zero():
+        raise InternalError("exact division by zero polynomial")
+    dom = f.domain
+
+    def key(e):  # decreasing graded-lex order
+        return -sum(e), tuple(-a for a in e), e
+
+    quot, rem = {}, dict(f.terms)
+    heap = [key(e) for e in rem]
+    heapq.heapify(heap)
+    ge, gc = g.leading()
+    gc_inv = dom.inv(gc)
+    while heap:
+        e = heapq.heappop(heap)[2]
+        c = rem.pop(e, None)
+        if c is None:
+            continue
+        qe = tuple(a - b for a, b in zip(e, ge))
+        if any(x < 0 for x in qe):
+            raise InternalError("inexact polynomial division")
+        qc = quot[qe] = c * gc_inv % dom.p
+        for e2, c2 in g.terms.items():
+            if e2 != ge:  # ge cancels the leading term e
+                te = tuple(a + b for a, b in zip(qe, e2))
+                if te not in rem:
+                    heapq.heappush(heap, key(te))
+                s = (rem.get(te, 0) - qc * c2) % dom.p
+                if s:
+                    rem[te] = s
+                else:
+                    del rem[te]
+    return SparsePoly(dom, f.nvars, quot)
 
 
 # -- oracle: the primitive PRS on exponent-tuple dicts, every d ---------------
@@ -72,16 +115,16 @@ def _sparse_gcd(f, g):
         return _sparse_gcd(_content_in_var(f, v), g)
     v = max(fv)
     cf, cg = _content_in_var(f, v), _content_in_var(g, v)
-    a, b = exact_div(f, cf), exact_div(g, cg)
+    a, b = _heap_div(f, cf), _heap_div(g, cg)
     if a.degree_in(v) < b.degree_in(v):
         a, b = b, a
     while not b.is_zero() and b.degree_in(v) > 0:
         r = _pseudo_rem(a, b, v)
         if not r.is_zero():
-            r = exact_div(r, _content_in_var(r, v))
+            r = _heap_div(r, _content_in_var(r, v))
         a, b = b, r
     if b.is_zero():
-        head = exact_div(a, _content_in_var(a, v))
+        head = _heap_div(a, _content_in_var(a, v))
     else:
         head = SparsePoly.constant(f.domain, f.nvars, 1)
     return monic(_sparse_gcd(cf, cg) * head)
@@ -148,6 +191,46 @@ def test_gcd_matches_sparse_prs(d, p):
         for f, g in _cases(d, p, seed):
             _check(f, g)
             _check(g, f)
+
+
+def _outcome(div, f, g):
+    try:
+        return div(f, g)
+    except InternalError as exc:
+        return str(exc)
+
+
+def _same_division(f, g):
+    want = _outcome(_heap_div, f, g)
+    assert _outcome(exact_div, f, g) == want
+    return want
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_exact_div_matches_heap_division(d, p):
+    dom = FpDomain(p)
+    zero, one = SparsePoly.zero(dom, d), SparsePoly.constant(dom, d, 1)
+    for seed in range(4):
+        rng = random.Random(f"div {d} {p} {seed}")
+        for f, g in _cases(d, p, seed):
+            if not g.is_zero():
+                assert _same_division(f * g, g) == f
+                if not g.is_constant():
+                    # g does not divide a nonzero constant
+                    assert _same_division(f * g + one, g) == "inexact polynomial division"
+            if not (f.is_zero() and g.is_zero()):
+                assert _same_division(f, poly_gcd(f, g)) * poly_gcd(f, g) == f
+            assert _same_division(f, SparsePoly.constant(dom, d, rng.randrange(1, p))).nvars == d
+            if not f.is_zero():
+                assert _same_division(zero, f) == zero
+        # a divisor in a variable that the dividend lacks
+        j = rng.randrange(d)
+        f = _poly(rng, p, d, 3, 2, free={j})
+        g = SparsePoly.variable(dom, d, j) + one
+        assert _same_division(f, g) == "inexact polynomial division"
+        assert _same_division(f * g, g) == f
+    assert _same_division(one, zero) == "exact division by zero polynomial"
 
 
 def _best_time(fn, repeats):

@@ -2,26 +2,29 @@
 
     python3 tools/bench_pairs.py REF --workload cohen_k --seeds 1-4 --seconds 10 [--trace]
 
-Checks REF out into a temporary git worktree and runs
-``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once there
-and once in the working tree for each seed, alternating which side runs
-first (seed by seed: REF first, then the working tree first).  Each side
-runs its own checkout's ``perfbench/`` and ``src/``.  For every gated
-metric of ``BENCHMARK.json`` it prints each pair, then per side the median,
-the quartiles and the min-max, and how many pairs the working tree won
-(ties count for neither side).  With ``--trace`` each side also runs
+Exports the committed files of REF (``git archive``) into a temporary
+directory and runs ``perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` once there and once in the working tree for each seed,
+alternating which side runs first (seed by seed: REF first, then the
+working tree first).  Each side runs its own copy's ``perfbench/`` and
+``src/``.  For every gated metric of ``BENCHMARK.json`` it prints each
+pair, then per side the median, the quartiles and the min-max, how many
+pairs the working tree won (ties count for neither side), and one verdict
+(see ``verdict``).  With ``--trace`` each side also runs
 ``perfbench/run.py --workload W --seed S --trace 1`` once per seed, and
 every per-layer metric is printed per seed as ref, work and work/ref.  The
-worktree is removed at the end, also when a run fails.  Standard library
+directory is removed at the end, also when a run fails.  Standard library
 only; run from anywhere inside the repository.
 """
 
 import argparse
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -64,9 +67,35 @@ def spread(values):
     return statistics.median(values), (quart[0], quart[2]), (min(values), max(values))
 
 
+def verdict(better, bound, ref, work):
+    """The verdict on one gated metric from paired runs, ref[i] against
+    work[i], ``better`` "higher" or "lower":
+
+    - "gain": work won at least 9 in 10 of the pairs (ties count for
+      neither side) and its median beats ref's by more than ref's
+      interquartile distance;
+    - "worse": work's median is worse than ref's by more than
+      bound * ref's median;
+    - "unresolved": ref's interquartile distance exceeds bound * ref's
+      median, and not every work run beats every ref run;
+    - "within bound" otherwise.
+    """
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (b - a) > 0 for a, b in zip(ref, work))
+    ref_med, (q1, q3), _ = spread(ref)
+    gap = sign * (statistics.median(work) - ref_med)
+    if 10 * wins >= 9 * len(ref) and gap > q3 - q1:
+        return "gain"
+    if -gap > bound * abs(ref_med):
+        return "worse"
+    if q3 - q1 > bound * abs(ref_med) and not all(sign * (b - a) > 0 for a in ref for b in work):
+        return "unresolved"
+    return "within bound"
+
+
 def report(gated, seeds, runs):
     ref, work = runs["ref"], runs["work"]
-    for name, better in gated:
+    for name, better, bound in gated:
         print(f"{name} ({better} is better)")
         for seed, a, b in zip(seeds, ref, work):
             print(f"  seed {seed}: ref {a[name]:.6g}  work {b[name]:.6g}")
@@ -78,6 +107,8 @@ def report(gated, seeds, runs):
         wins = sum(sign * (b[name] - a[name]) > 0 for a, b in zip(ref, work))
         ratio = statistics.median(r[name] for r in work) / statistics.median(r[name] for r in ref)
         print(f"  work won {wins} of {len(ref)} pairs; median work/ref = {ratio:.3f}")
+        judged = verdict(better, bound, [r[name] for r in ref], [r[name] for r in work])
+        print(f"  verdict (bound {bound:g}): {judged}")
 
 
 def report_trace(seeds, traces):
@@ -107,24 +138,21 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        gated = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        ref_tree = os.path.join(tmp, "ref")
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", "--quiet",
-                        ref_tree, args.ref], check=True)
-        try:
-            runs = {"ref": [], "work": []}
-            traces = {"ref": [], "work": []}
-            for n, seed in enumerate(args.seeds):
-                order = [("ref", ref_tree), ("work", ROOT)]
-                for side, tree in order if n % 2 == 0 else order[::-1]:
-                    runs[side].append(run_once(tree, args.workload, seed, args.seconds))
-                    print(f"seed {seed} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
-                    if args.trace:
-                        traces[side].append(run_once(tree, args.workload, seed, args.seconds, 1))
-        finally:
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", ref_tree],
-                           check=False)
+        gated = [(m["name"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]]
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as ref_tree:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", args.ref],
+                                 check=True, stdout=subprocess.PIPE).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(ref_tree, filter="data")
+        runs = {"ref": [], "work": []}
+        traces = {"ref": [], "work": []}
+        for n, seed in enumerate(args.seeds):
+            order = [("ref", ref_tree), ("work", ROOT)]
+            for side, tree in order if n % 2 == 0 else order[::-1]:
+                runs[side].append(run_once(tree, args.workload, seed, args.seconds))
+                print(f"seed {seed} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
+                if args.trace:
+                    traces[side].append(run_once(tree, args.workload, seed, args.seconds, 1))
     print(f"workload {args.workload}, seeds {args.seeds}, {args.seconds:g} s per run, "
           f"ref {args.ref} against the working tree")
     report(gated, args.seeds, runs)
