@@ -175,10 +175,16 @@ class CohenElem:
         return f"<C_{self.level} {{{parts}}}>"
 
 
+def index_bound(ring, level, j):
+    """The slots of C_level at position j are the indices i below this
+    bound in each of the d variables, so there are its d-th power."""
+    return ring.char_p ** (level - 1 - j)
+
+
 def slot_indices(ring, level):
     """All (j, i) slots of C_level, position-major, indices lexicographic."""
-    p, d = ring.char_p, ring.params.d
-    return [(j, i) for j in range(level) for i in multi_indices(p ** (level - 1 - j), d)]
+    d = ring.params.d
+    return [(j, i) for j in range(level) for i in multi_indices(index_bound(ring, level, j), d)]
 
 
 def _single_vector(ring, level, j, i, x):

@@ -163,11 +163,12 @@ def check_stage_symbols(X: AffinePresentation, stage, symbol_cap=DEFAULT_SYMBOL_
     built, the ResourceLimit of the first stage s <= ``stage`` of X's
     transform with more than ``symbol_cap`` symbols: stage s has
     n_0 * (p^d)^s of them, n_0 those of stage 0, counted per variable as
-    the (p^(m-1-j))^d slots at each position j < component_bound(w) of
-    each component w."""
-    base, size = X.base, X.base.params.p ** X.base.params.d
-    n_0 = len(X.variables) * sum(size ** (base.m - 1 - j) for w in range(base.e)
-                                 for j in range(base.component_bound(w)))
+    the slots at each position j < component_bound(w) of each component
+    w, the ones ``_slots`` lists."""
+    base, d = X.base, X.base.params.d
+    n_0 = len(X.variables) * sum(cohen.index_bound(base.field_ring, base.m, j) ** d
+                                 for w in range(base.e) for j in range(base.component_bound(w)))
+    size = base.params.p ** d
     for s in range(stage + 1):
         _check_symbol_cap(n_0 * size ** s, symbol_cap)
     return [f"z{var}.{j}.{_word(i)}.{w}" for var in X.variables for w, j, i in _slots(base)]

@@ -16,8 +16,8 @@ denominators of elements of k.
 
 Over F_p, ``poly_gcd`` and ``exact_div`` keep fractions in k in lowest
 terms.  Both work on recursive dense lists, one level per variable their
-operands involve, for every number of variables; the gcd is taken in x
-rather than x^m where the operands are polynomials in x^m.
+operands involve, for every number of variables, and both work in x^m
+rather than x where the operands are polynomials in x^m.
 
 Monomial order is graded lexicographic throughout: compare total degree,
 then the exponent tuple.
@@ -642,22 +642,6 @@ def _rd_gcd(a, b, k, p):
     return [_rd_mul(c, x, k - 1, p) for x in head]
 
 
-def exact_div(f, g):
-    """Quotient f/g over F_p when the division is exact, InternalError when
-    it is not.  Both operands go once into recursive dense form over the
-    variables either involves, as in ``poly_gcd``, and ``_rd_div`` divides
-    level by level."""
-    if g.is_zero():
-        raise InternalError("exact division by zero polynomial")
-    dom, n = f.domain, f.nvars
-    if g.is_constant():
-        return f.scale(dom.inv(g.constant_value()))
-    if f.is_zero():
-        return f
-    vs = [0] if n == 1 else sorted(_active_vars(f) | _active_vars(g))
-    return _rd_out(_rd_div(_rd_in(f, vs), _rd_in(g, vs), len(vs), dom.p), vs, dom, n)
-
-
 def _exponent_gcd(f, g, v):
     """The gcd of the exponents of variable v in f and g."""
     m = 0
@@ -673,21 +657,14 @@ def _rescale(f, ms, op):
     return SparsePoly(f.domain, f.nvars, {tuple(map(op, e, ms)): c for e, c in f.terms.items()})
 
 
-def poly_gcd(f, g):
-    """GCD over F_p[x_1..x_d], normalized to leading coefficient 1.
-
-    Where every exponent of a variable x in f and g is a multiple of m
-    (p-th powers have m = p), the gcd is taken in x instead of x^m.  Both
-    operands go once into recursive dense form over the variables that
-    either involves, and the gcd (``_rd_gcd``: Euclid for one variable,
-    the primitive pseudo-remainder sequence for more) comes back once."""
-    if f.is_zero():
-        return monic(g)
-    if g.is_zero():
-        return monic(f)
+def _on_dense(op, f, g):
+    """op (``_rd_div`` or ``_rd_gcd``) on nonconstant F_p polynomials f, g:
+    both go once into recursive dense form over the variables either
+    involves, and the result comes back once.  Where every exponent of a
+    variable x in f and g is a multiple of m (p-th powers have m = p), x^m
+    is taken as the variable, so the lists are m times shorter in it; a
+    quotient or gcd of polynomials in x^m is one in x^m."""
     dom, n = f.domain, f.nvars
-    if f.is_constant() or g.is_constant():
-        return SparsePoly.constant(dom, n, dom.one)
     vs = [0] if n == 1 else sorted(_active_vars(f) | _active_vars(g))
     ms = [1] * n
     for v in vs:
@@ -695,8 +672,33 @@ def poly_gcd(f, g):
     deflated = max(ms) > 1
     if deflated:
         f, g = _rescale(f, ms, operator.floordiv), _rescale(g, ms, operator.floordiv)
-    h = _rd_out(_rd_gcd(_rd_in(f, vs), _rd_in(g, vs), len(vs), dom.p), vs, dom, n)
-    return monic(_rescale(h, ms, operator.mul) if deflated else h)
+    h = _rd_out(op(_rd_in(f, vs), _rd_in(g, vs), len(vs), dom.p), vs, dom, n)
+    return _rescale(h, ms, operator.mul) if deflated else h
+
+
+def exact_div(f, g):
+    """Quotient f/g over F_p when the division is exact, InternalError when
+    it is not; ``_rd_div`` divides level by level (see ``_on_dense``)."""
+    if g.is_zero():
+        raise InternalError("exact division by zero polynomial")
+    if g.is_constant():
+        return f.scale(f.domain.inv(g.constant_value()))
+    if f.is_zero():
+        return f
+    return _on_dense(_rd_div, f, g)
+
+
+def poly_gcd(f, g):
+    """GCD over F_p[x_1..x_d], normalized to leading coefficient 1:
+    ``_rd_gcd`` (Euclid for one variable, the primitive pseudo-remainder
+    sequence for more) on the dense forms of ``_on_dense``."""
+    if f.is_zero():
+        return monic(g)
+    if g.is_zero():
+        return monic(f)
+    if f.is_constant() or g.is_constant():
+        return SparsePoly.constant(f.domain, f.nvars, f.domain.one)
+    return monic(_on_dense(_rd_gcd, f, g))
 
 
 # ---------------------------------------------------------------------------

@@ -470,6 +470,26 @@ def test_resource_limits(base_unram2):
         G.greenberg_transform(Y, monomial_cap=1)
 
 
+def test_symbol_count_is_the_listed_slots(base_unram2, base_eis_p3, base_unram3_p3,
+                                          base_eis_p3_deep):
+    """check_stage_symbols counts the slots that _slots lists: the cap
+    admits exactly that many symbols at stage 0 and p^d times as many at
+    stage 1, over unramified, Eisenstein and truncated bases."""
+    bases = [base_unram2, base_eis_p3, base_unram3_p3, base_eis_p3_deep,
+             base_unram3_p3.quotient(2), base_eis_p3_deep.quotient(3), base_eis_p3_deep.quotient(4),
+             B.make_unramified(B.PrimeParams(2, 2, ["s", "t"]), 2)]
+    for base in bases:
+        X = G.AffinePresentation(base, ["x", "y"], [])
+        n_0 = 2 * len(G._slots(base))
+        assert len(G.check_stage_symbols(X, 0, symbol_cap=n_0)) == n_0
+        with pytest.raises(ResourceLimit, match=f"^{n_0} symbols exceed the cap {n_0 - 1}$"):
+            G.check_stage_symbols(X, 0, symbol_cap=n_0 - 1)
+        n_1 = n_0 * base.params.p ** base.params.d
+        G.check_stage_symbols(X, 1, symbol_cap=n_1)
+        with pytest.raises(ResourceLimit, match=f"^{n_1} symbols"):
+            G.check_stage_symbols(X, 1, symbol_cap=n_1 - 1)
+
+
 def test_transform_deterministic(worked_example):
     X, _ = worked_example
     a = G.greenberg_transform(X)

@@ -233,6 +233,49 @@ def test_exact_div_matches_heap_division(d, p):
     assert _same_division(one, zero) == "exact division by zero polynomial"
 
 
+_LARGE_P_DIVISIONS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_polys import _same_division
+from gkit.polys import FpDomain, SparsePoly, poly_frobenius, poly_gcd
+
+P = 4294967291
+dom = FpDomain(P)
+x, y = (SparsePoly.variable(dom, 2, v) for v in (0, 1))
+one = SparsePoly.constant(dom, 2, 1)
+f = poly_frobenius(x, P) * y + y * y
+h = poly_gcd(f, y * y)
+frob = poly_frobenius((x + one) * (y + one), P)
+print([h == y, _same_division(f, h) == poly_frobenius(x, P) + y,
+       _same_division(f, y * y), _same_division(f + one, y),
+       _same_division(frob, poly_frobenius(x + one, P)) == poly_frobenius(y + one, P)])
+"""
+
+
+def test_exact_div_at_a_large_prime_takes_x_to_the_p():
+    """x^P y + y^2 over F_P, P = 4294967291, divided by the gcd y of it and
+    y^2: every exponent of x is a multiple of P, so x^P is the variable,
+    where a dense list in x would hold P + 1 entries (32 GiB).  Run in a
+    child limited to 1 GiB of address space, so that such a list fails
+    fast instead of filling the machine."""
+    import ast
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", _LARGE_P_DIVISIONS, os.path.dirname(__file__)],
+                          capture_output=True, text=True, preexec_fn=limit)
+    assert time.monotonic() - start < 5
+    assert proc.stderr == "", proc.stderr
+    inexact = "inexact polynomial division"
+    assert ast.literal_eval(proc.stdout) == [True, True, inexact, inexact, True]
+
+
 def _best_time(fn, repeats):
     """The shortest of ``repeats`` timed calls of fn, and its result: a
     loaded machine can only lengthen a run."""

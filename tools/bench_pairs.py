@@ -2,29 +2,27 @@
 
     python3 tools/bench_pairs.py REF --workload cohen_k --seeds 1-4 --seconds 10 [--trace]
 
-Exports the committed files of REF (``git archive``) into a temporary
-directory and runs ``perfbench/run.py --workload W --seed S --seconds T
---trace 0`` once there and once in the working tree for each seed,
-alternating which side runs first (seed by seed: REF first, then the
-working tree first).  Each side runs its own copy's ``perfbench/`` and
-``src/``.  For every gated metric of ``BENCHMARK.json`` it prints each
-pair, then per side the median, the quartiles and the min-max, how many
-pairs the working tree won (ties count for neither side), and one verdict
-(see ``verdict``).  With ``--trace`` each side also runs
+Checks REF out into a temporary git worktree and runs
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once there
+and once in the working tree for each seed, alternating which side runs
+first (seed by seed: REF first, then the working tree first).  Each side
+runs its own checkout's ``perfbench/`` and ``src/``.  For every gated
+metric of ``BENCHMARK.json`` it prints each pair, then per side the median,
+the quartiles and the min-max, how many pairs the working tree won (ties
+count for neither side), and one verdict (see ``verdict``).  With
+``--trace`` each side also runs
 ``perfbench/run.py --workload W --seed S --trace 1`` once per seed, and
 every per-layer metric is printed per seed as ref, work and work/ref.  The
-directory is removed at the end, also when a run fails.  Standard library
+worktree is removed at the end, also when a run fails.  Standard library
 only; run from anywhere inside the repository.
 """
 
 import argparse
-import io
 import json
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -139,20 +137,23 @@ def main(argv=None):
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         gated = [(m["name"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]]
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as ref_tree:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", args.ref],
-                                 check=True, stdout=subprocess.PIPE).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(ref_tree, filter="data")
-        runs = {"ref": [], "work": []}
-        traces = {"ref": [], "work": []}
-        for n, seed in enumerate(args.seeds):
-            order = [("ref", ref_tree), ("work", ROOT)]
-            for side, tree in order if n % 2 == 0 else order[::-1]:
-                runs[side].append(run_once(tree, args.workload, seed, args.seconds))
-                print(f"seed {seed} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
-                if args.trace:
-                    traces[side].append(run_once(tree, args.workload, seed, args.seconds, 1))
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        ref_tree = os.path.join(tmp, "ref")
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", "--quiet",
+                        ref_tree, args.ref], check=True)
+        try:
+            runs = {"ref": [], "work": []}
+            traces = {"ref": [], "work": []}
+            for n, seed in enumerate(args.seeds):
+                order = [("ref", ref_tree), ("work", ROOT)]
+                for side, tree in order if n % 2 == 0 else order[::-1]:
+                    runs[side].append(run_once(tree, args.workload, seed, args.seconds))
+                    print(f"seed {seed} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
+                    if args.trace:
+                        traces[side].append(run_once(tree, args.workload, seed, args.seconds, 1))
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", ref_tree],
+                           check=False)
     print(f"workload {args.workload}, seeds {args.seeds}, {args.seconds:g} s per run, "
           f"ref {args.ref} against the working tree")
     report(gated, args.seeds, runs)
