@@ -226,6 +226,12 @@ def eval_pi_poly(ast, session, m):
 # ---------------------------------------------------------------------------
 
 
+# witt <op> runs the witt function named here, looked up when the command
+# runs, so that a wrapper patched onto the witt module is the one called
+_WITT_OPS = {"add": "witt_add", "mul": "witt_mul", "neg": "witt_neg", "v": "verschiebung",
+             "f": "frobenius"}
+
+
 class Session:
     def __init__(self, config: SessionConfig):
         self.config = config
@@ -354,6 +360,7 @@ class Session:
     def _dispatch(self, cmd):
         kind = cmd["kind"]
         flags = cmd.get("flags", {})
+        head, _, op = kind.partition(".")
         if kind == "selftest":
             seed = flags.get("seed", self.config.seed)
             report = selftest.run_selftest(seed)
@@ -361,8 +368,7 @@ class Session:
                 self.failed = True
             return {"report": report}
 
-        if kind.startswith("witt."):
-            op = kind.split(".", 1)[1]
+        if head == "witt":
             if op == "teich":
                 params = self._need_base()
                 length = flags.get("len", 2)
@@ -373,19 +379,9 @@ class Session:
                 g = witt.ghost(cmd["r"], vec)
                 return {"result": g if isinstance(g, int) else str(g)}
             vecs = [self._witt_vector(v, flags) for v in cmd["vectors"]]
-            if op == "add":
-                return {"result": witt_to_json(witt.witt_add(*vecs))}
-            if op == "mul":
-                return {"result": witt_to_json(witt.witt_mul(*vecs))}
-            if op == "neg":
-                return {"result": witt_to_json(witt.witt_neg(vecs[0]))}
-            if op == "v":
-                return {"result": witt_to_json(witt.verschiebung(vecs[0]))}
-            if op == "f":
-                return {"result": witt_to_json(witt.frobenius(vecs[0]))}
+            return {"result": witt_to_json(getattr(witt, _WITT_OPS[op])(*vecs))}
 
-        if kind.startswith("cohen."):
-            op = kind.split(".", 1)[1]
+        if head == "cohen":
             vecs = [self._witt_vector(v, {"ring": "k"}) for v in cmd["vectors"]]
             elems = [cohen.extract(v) for v in vecs]
             if op == "extract":
@@ -403,9 +399,23 @@ class Session:
             if op == "residue":
                 return {"result": str(cohen.residue(elems[0]))}
 
-        if kind == "greenberg":
+        if kind in ("greenberg", "point.push", "point.pull"):
             stage = flags.get("stage", self.config.stage)
+            X = self.scheme(cmd["scheme"])
             pres = self.presentation(cmd["scheme"], stage)
+            if kind == "point.push":
+                point = [eval_base_elem(a, self, X.base) for a in cmd["vector"]]
+                coords = greenberg.point_to_coords(X, pres, point)
+                return {"coords": [str(c) for c in coords], "stage": stage}
+            if kind == "point.pull":
+                params = self._need_base()
+                values = [eval_k(a, params) for a in cmd["vector"]]
+                point = greenberg.coords_to_point(X, pres, values)
+                return {
+                    "point": [base_elem_to_json(v) for v in point],
+                    "stage": stage,
+                    "verified": True,
+                }
             doc = pres.to_json()
             out = flags.get("out")
             summary = {
@@ -425,27 +435,6 @@ class Session:
             else:
                 summary["presentation"] = doc
             return summary
-
-        if kind == "point.push":
-            stage = flags.get("stage", self.config.stage)
-            X = self.scheme(cmd["scheme"])
-            pres = self.presentation(cmd["scheme"], stage)
-            point = [eval_base_elem(a, self, X.base) for a in cmd["vector"]]
-            coords = greenberg.point_to_coords(X, pres, point)
-            return {"coords": [str(c) for c in coords], "stage": stage}
-
-        if kind == "point.pull":
-            stage = flags.get("stage", self.config.stage)
-            X = self.scheme(cmd["scheme"])
-            pres = self.presentation(cmd["scheme"], stage)
-            params = self._need_base()
-            values = [eval_k(a, params) for a in cmd["vector"]]
-            point = greenberg.coords_to_point(X, pres, values)
-            return {
-                "point": [base_elem_to_json(v) for v in point],
-                "stage": stage,
-                "verified": True,
-            }
 
         if kind == "units.level":
             u = self._unit_arg(cmd)

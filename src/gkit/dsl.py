@@ -37,9 +37,22 @@ _TOKEN_RE = re.compile(
 )
 
 
-_STATEMENT_KEYWORDS = frozenset(
-    ("base", "ring", "scheme", "elem", "witt", "cohen", "greenberg", "point", "units", "selftest")
-)
+# Every command keyword, mapped to its subcommands (the key None when it
+# takes none), each mapped to its arguments in order: "scheme" a scheme
+# name, "r" an integer, "expr" an expression, "vector" the point of point
+# push/pull, and "vec" one Witt vector of the payload's "vectors" list.
+COMMANDS = {
+    "witt": {"add": ("vec", "vec"), "mul": ("vec", "vec"), "neg": ("vec",), "v": ("vec",),
+             "f": ("vec",), "ghost": ("r", "vec"), "teich": ("expr",)},
+    "cohen": {"add": ("vec", "vec"), "mul": ("vec", "vec"), "extract": ("vec",),
+              "embed": ("vec",), "pdiv": ("vec",), "residue": ("vec",)},
+    "greenberg": {None: ("scheme",)},
+    "point": {"push": ("scheme", "vector"), "pull": ("scheme", "vector")},
+    "units": {"level": ("expr",), "ppow-solve": ("expr",)},
+    "selftest": {None: ()},
+}
+
+_STATEMENT_KEYWORDS = frozenset(("base", "ring", "scheme", "elem", *COMMANDS))
 
 
 class Token:
@@ -164,7 +177,7 @@ class Parser:
         word = tok.value
         if word in ("base", "ring", "scheme", "elem"):
             return getattr(self, f"parse_{word}")()
-        if word in _STATEMENT_KEYWORDS:
+        if word in COMMANDS:
             return self.parse_command()
         raise ParseError(tok.line, tok.col, "a statement keyword", word)
 
@@ -253,75 +266,37 @@ class Parser:
         return ("elem", {"name": name, "expr": expr, "ring": ring})
 
     def parse_command(self):
+        """A command of `COMMANDS`: its keyword, its subcommand if it takes
+        one, its arguments, its flags and ';'."""
         head = self.keyword()
-        if head == "selftest":
-            flags = self.parse_flags()
-            self.expect(";")
-            return ("cmd", {"kind": "selftest", "flags": flags})
-        if head == "greenberg":
-            scheme = self.keyword()
-            flags = self.parse_flags()
-            self.expect(";")
-            return ("cmd", {"kind": "greenberg", "scheme": scheme, "flags": flags})
-        if head == "point":
-            sub = self.keyword()
-            tok = self.peek()
-            if sub not in ("push", "pull"):
-                raise ParseError(tok.line, tok.col, "'push' or 'pull'", sub)
-            scheme = self.keyword()
-            vector = self.parse_vector()
-            flags = self.parse_flags()
-            self.expect(";")
-            return (
-                "cmd",
-                {"kind": f"point.{sub}", "scheme": scheme, "vector": vector, "flags": flags},
-            )
-        if head == "witt":
-            sub = self.keyword()
-            ops = {"add": 2, "mul": 2, "neg": 1, "v": 1, "f": 1}
-            if sub == "ghost":
-                r = int(self.expect("int").value)
-                vec = self.parse_vector()
-                flags = self.parse_flags()
-                self.expect(";")
-                return ("cmd", {"kind": "witt.ghost", "r": r, "vectors": [vec], "flags": flags})
-            if sub == "teich":
-                expr = self.parse_expr()
-                flags = self.parse_flags()
-                self.expect(";")
-                return ("cmd", {"kind": "witt.teich", "expr": expr, "flags": flags})
-            if sub not in ops:
-                tok = self.peek()
-                raise ParseError(tok.line, tok.col, "a witt operation", sub)
-            vectors = [self.parse_vector() for _ in range(ops[sub])]
-            flags = self.parse_flags()
-            self.expect(";")
-            return ("cmd", {"kind": f"witt.{sub}", "vectors": vectors, "flags": flags})
-        if head == "cohen":
-            sub = self.keyword()
-            ops = {"add": 2, "mul": 2, "extract": 1, "embed": 1, "pdiv": 1, "residue": 1}
-            if sub not in ops:
-                tok = self.peek()
-                raise ParseError(tok.line, tok.col, "a cohen operation", sub)
-            vectors = [self.parse_vector() for _ in range(ops[sub])]
-            flags = self.parse_flags()
-            self.expect(";")
-            return ("cmd", {"kind": f"cohen.{sub}", "vectors": vectors, "flags": flags})
-        if head == "units":
+        subs = COMMANDS[head]
+        sub = None
+        if None not in subs:
             tok = self.peek()
             sub = self.keyword()
-            if sub == "ppow":
+            # a hyphenated subcommand is read as identifiers joined by '-'
+            sub = next((s for s in subs if s.split("-")[0] == sub), sub)
+            for part in sub.split("-")[1:]:
                 self.expect("-")
-                self.expect("ident", "solve")
-                sub = "ppow-solve"
-            if sub not in ("level", "ppow-solve"):
-                raise ParseError(tok.line, tok.col, "'level' or 'ppow-solve'", sub)
-            expr = self.parse_expr()
-            flags = self.parse_flags()
-            self.expect(";")
-            return ("cmd", {"kind": f"units.{sub}", "expr": expr, "flags": flags})
-        tok = self.peek()
-        raise ParseError(tok.line, tok.col, "a command", head)
+                self.expect("ident", part)
+            if sub not in subs:
+                expected = " or ".join(map(repr, subs)) if len(subs) == 2 else f"a {head} operation"
+                raise ParseError(tok.line, tok.col, expected, sub)
+        payload = {"kind": head if sub is None else f"{head}.{sub}"}
+        for arg in subs[sub]:
+            if arg == "scheme":
+                payload[arg] = self.keyword()
+            elif arg == "r":
+                payload[arg] = int(self.expect("int").value)
+            elif arg == "expr":
+                payload[arg] = self.parse_expr()
+            elif arg == "vector":
+                payload[arg] = self.parse_vector()
+            else:
+                payload.setdefault("vectors", []).append(self.parse_vector())
+        payload["flags"] = self.parse_flags()
+        self.expect(";")
+        return ("cmd", payload)
 
     def parse_vector(self):
         self.expect("(")

@@ -280,11 +280,11 @@ def weil_restrict(params, symbols, equations, monomial_cap=None, symbol_cap=None
 
 
 def _refined_symbols(params, symbols, symbol_cap):
-    """Symbol v's child at digit position k is v * p^d + k, named v.s<i>."""
+    """Symbol v's child at digit position k is v * p^d + k, named v.s<i>;
+    the cap is checked before any is listed."""
+    _check_symbol_cap(len(symbols) * params.p ** params.d, symbol_cap)
     idxs = multi_indices(params.p, params.d)
-    new_symbols = [f"{name}.s{_word(i)}" for name in symbols for i in idxs]
-    _check_symbol_cap(len(new_symbols), symbol_cap)
-    return new_symbols
+    return [f"{name}.s{_word(i)}" for name in symbols for i in idxs]
 
 
 def _restrict(ring, equations, monomial_cap):

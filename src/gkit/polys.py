@@ -183,7 +183,7 @@ class SparsePoly:
         dom = self.domain
         if not self.terms or not other.terms:
             return SparsePoly(dom, self.nvars, {})
-        if isinstance(dom, ZmodDomain) and (len(self.terms) + len(other.terms)) > 16:
+        if cap is None and isinstance(dom, ZmodDomain) and len(self.terms) + len(other.terms) > 16:
             active = _active_vars(self) | _active_vars(other)
             if len(active) == 1:
                 (v,) = active

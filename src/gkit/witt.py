@@ -231,8 +231,7 @@ def _linear(signed):
     if ring.char_p is None:
         return _int_peel(ring, [sum(s * ghost(n, w) for s, w in signed) for n in range(N)])
     nums = [_numerators(w) for _, w in signed]
-    dens = {Dw for _, Dw, _ in nums if Dw is not None}
-    D = poly_lcm(dens, ring.params._one_poly()) if dens else None
+    D = poly_lcm([Dw for _, Dw, _ in nums], ring.params._one_poly())
     ghosts = None
     for (sign, _), (U, Dw, _) in zip(signed, nums):
         gs = _ghosts(ring, _rescale(ring, U, Dw, D))
@@ -281,8 +280,8 @@ def _product(u, v):
     ring = u.ring
     (U, Du, bu), (V, Dv, bv) = _numerators(u), _numerators(v)
     ghosts = [ring.reduce_model(a * b) for a, b in zip(_ghosts(ring, U), _ghosts(ring, V))]
-    bounds = [_times(a, b) for a, b in zip(_den_bounds([bu], Du), _den_bounds([bv], Dv))]
-    return _peel(ring, ghosts, _times(Du, Dv), bounds)
+    bounds = [a * b for a, b in zip(_den_bounds([bu], Du), _den_bounds([bv], Dv))]
+    return _peel(ring, ghosts, Du * Dv, bounds)
 
 
 def _peel(ring, ghosts, D, bounds):
@@ -304,21 +303,20 @@ def _peel(ring, ghosts, D, bounds):
         S = SparsePoly(fp, ring.model_nvars, peeled)
         chain.append(S)
         entries.append(_fraction(ring, S, den, D, bounds[m]))
-        if den is not None:
-            den = poly_frobenius(den, p)
+        den = poly_frobenius(den, p)
     return WittVector(ring, entries)
 
 
 def _numerators(u):
     """(U, D, b): entry i of u is U_i / D^{p^i}, and b_i is the denominator
-    of its `fraction`; D is None when every b_i is 1.  D is the lcm of the
-    r_i, where r_i is the p^i-th root of b_i when b_i is a p^i-th power,
-    else b_i; either way D^{p^i} / b_i is a polynomial."""
+    of its `fraction`.  D is the lcm of the r_i, where r_i is the p^i-th
+    root of b_i when b_i is a p^i-th power, else b_i; either way
+    D^{p^i} / b_i is a polynomial, and D is 1 when every b_i is."""
     ring = u.ring
     fracs = [ring.fraction(x) for x in u.entries]
     dens = [b for _, b in fracs]
     if all(b.is_constant() for b in dens):
-        return [a for a, _ in fracs], None, dens
+        return [a for a, _ in fracs], ring.params._one_poly(), dens
     p, nvars = ring.char_p, ring.model_nvars
     roots = [_root(b, p**i) for i, b in enumerate(dens)]
     D = poly_lcm([b if r is None else r for r, b in zip(roots, dens)], ring.params._one_poly())
@@ -333,11 +331,6 @@ def _numerators(u):
     return U, D, dens
 
 
-def _times(a, b):
-    """a * b with None standing for 1."""
-    return b if a is None else a if b is None else a * b
-
-
 def _root(b, q):
     """The q-th root of the F_p polynomial b when every exponent of b is
     divisible by q > 1, else None."""
@@ -350,20 +343,17 @@ def _rescale(ring, U, D, new):
     """Numerators over D^{p^i} brought over new^{p^i} (D divides new)."""
     if D == new:
         return U
-    cofactor = new if D is None else exact_div(new, D)
+    cofactor = exact_div(new, D)
     return [x * pad(poly_frobenius(cofactor, ring.char_p**i), ring.model_nvars)
             for i, x in enumerate(U)]
 
 
 def _den_bounds(dens, D):
     """B_m, the lcm of b_i^{p^(m-i)} over the entries i <= m of the vectors
-    whose entry denominators b_i are listed in ``dens``, for each m; None
-    when D is.  Entry m of a sum, difference or negative of the vectors is
-    isobaric of weight p^m in their entries, so its denominator divides
-    B_m, and B_m divides D^{p^m}; in a product each factor contributes its
-    own B_m."""
-    if D is None:
-        return [None] * len(dens[0])
+    whose entry denominators b_i are listed in ``dens``, for each m.
+    Entry m of a sum, difference or negative of the vectors is isobaric of
+    weight p^m in their entries, so its denominator divides B_m, and B_m
+    divides D^{p^m}; in a product each factor contributes its own B_m."""
     one = SparsePoly.constant(D.domain, D.nvars, D.domain.one)
     B, out = one, []
     for m in range(len(dens[0])):
@@ -409,13 +399,11 @@ def _advance(ring, chain, m):
 
 
 def _fraction(ring, S, den, D, bound):
-    """S / den as an entry, den = D^{p^m} (None for 1) and ``bound`` a
-    multiple of the entry's denominator dividing den.  S loses the factor
-    den / bound exactly, and then only bound takes part in the gcds; when
-    bound is den, a coefficient coprime to D needs no gcd with den,
-    because every prime factor of den divides D."""
-    if den is None:
-        return ring.from_fraction(S, ring.params._one_poly())
+    """S / den as an entry, den = D^{p^m} and ``bound`` a multiple of the
+    entry's denominator dividing den.  S loses the factor den / bound
+    exactly, and then only bound takes part in the gcds; when bound is
+    den, a coefficient coprime to D needs no gcd with den, because every
+    prime factor of den divides D."""
     if bound != den and S.terms:
         return ring.from_fraction(exact_div(S, pad(exact_div(den, bound), S.nvars)), bound)
     return ring.from_fraction(S, den, root=D)

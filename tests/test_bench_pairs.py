@@ -62,3 +62,38 @@ WIDE = [10.0 * i for i in range(1, 11)]  # median 55, quartiles 27.5-82.5
 ])
 def test_verdict(bench_pairs, better, ref, work, want):
     assert bench_pairs.verdict(better, 0.25, ref, work) == want
+
+
+def test_child_env_gives_each_side_a_bytecode_cache_of_its_own(bench_pairs):
+    env = {"PATH": "/bin", "PYTHONDONTWRITEBYTECODE": "1"}
+    ref, work = (bench_pairs.child_env(env, "tmp", side) for side in ("ref", "work"))
+    assert ref == {**env, "PYTHONPYCACHEPREFIX": os.path.join("tmp", "pycache_ref")}
+    assert work == {**env, "PYTHONPYCACHEPREFIX": os.path.join("tmp", "pycache_work")}
+    assert env == {"PATH": "/bin", "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def test_every_run_of_a_side_takes_its_environment(bench_pairs, monkeypatch):
+    """Each benchmark child of one side, traced or not, runs under that
+    side's cache directory, inside the temporary directory of the worktree."""
+    seen = []
+
+    class Done:
+        stdout = '{"correct": true, "metrics": {}}\n'
+
+    def fake_run(cmd, cwd=None, env=None, **kwargs):
+        if cmd[0] == "git":
+            if "add" in cmd:
+                seen.append(("ref tree", cmd[-2]))
+            return Done()
+        seen.append((cwd, env["PYTHONPYCACHEPREFIX"]))
+        return Done()
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "report", lambda *args: None)
+    bench_pairs.main(["HEAD", "--workload", "field_k", "--seeds", "1-2", "--trace"])
+    (_, ref_tree), *runs = seen
+    tmp = os.path.dirname(ref_tree)
+    side = {ref_tree: "ref", bench_pairs.ROOT: "work"}
+    assert len(runs) == 8
+    for cwd, prefix in runs:
+        assert prefix == os.path.join(tmp, f"pycache_{side[cwd]}")

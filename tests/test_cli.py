@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -56,6 +57,75 @@ def test_parse_error_position():
 def test_malformed_inputs_raise_parse_errors(bad):
     with pytest.raises(ParseError):
         dsl.parse(bad)
+
+
+V1 = [("int", 1)]
+V2 = [("name", "t"), ("int", 0)]
+COMMAND_PAYLOADS = [
+    ("witt add (1) (t, 0);", {"kind": "witt.add", "vectors": [V1, V2], "flags": {}}),
+    ("witt mul (1) (t, 0);", {"kind": "witt.mul", "vectors": [V1, V2], "flags": {}}),
+    ("witt neg (1) --ring int;", {"kind": "witt.neg", "vectors": [V1], "flags": {"ring": "int"}}),
+    ("witt v (1);", {"kind": "witt.v", "vectors": [V1], "flags": {}}),
+    ("witt f (1);", {"kind": "witt.f", "vectors": [V1], "flags": {}}),
+    ("witt ghost 2 (t, 0);", {"kind": "witt.ghost", "r": 2, "vectors": [V2], "flags": {}}),
+    ("witt teich t --len 3;", {"kind": "witt.teich", "expr": ("name", "t"), "flags": {"len": 3}}),
+    ("cohen add (1) (t, 0);", {"kind": "cohen.add", "vectors": [V1, V2], "flags": {}}),
+    ("cohen mul (1) (t, 0);", {"kind": "cohen.mul", "vectors": [V1, V2], "flags": {}}),
+    ("cohen extract (1);", {"kind": "cohen.extract", "vectors": [V1], "flags": {}}),
+    ("cohen embed (1) --to 3;", {"kind": "cohen.embed", "vectors": [V1], "flags": {"to": 3}}),
+    ("cohen pdiv (1) --e 2;", {"kind": "cohen.pdiv", "vectors": [V1], "flags": {"e": 2}}),
+    ("cohen residue (t, 0);", {"kind": "cohen.residue", "vectors": [V2], "flags": {}}),
+    ('greenberg X --stage 1 --out "o.json";',
+     {"kind": "greenberg", "scheme": "X", "flags": {"stage": 1, "out": "o.json"}}),
+    ("point push X (t, 0);", {"kind": "point.push", "scheme": "X", "vector": V2, "flags": {}}),
+    ("point pull X (1) --stage 2;",
+     {"kind": "point.pull", "scheme": "X", "vector": V1, "flags": {"stage": 2}}),
+    ("units level g;", {"kind": "units.level", "expr": ("name", "g"), "flags": {}}),
+    ("units ppow-solve g --n 1;",
+     {"kind": "units.ppow-solve", "expr": ("name", "g"), "flags": {"n": 1}}),
+    ("units ppow - solve 1 + p;",
+     {"kind": "units.ppow-solve", "expr": ("bin", "+", ("int", 1), ("name", "p")), "flags": {}}),
+    ("selftest --seed 4;", {"kind": "selftest", "flags": {"seed": 4}}),
+]
+
+
+@pytest.mark.parametrize("text, payload", COMMAND_PAYLOADS)
+def test_command_payloads(text, payload):
+    ((kind, got),) = dsl.parse(text)
+    assert kind == "cmd"
+    assert got == payload
+    assert list(got) == list(payload)  # the keys in the same order
+
+
+def test_command_payloads_cover_the_command_table():
+    kinds = {payload["kind"] for _, payload in COMMAND_PAYLOADS}
+    assert kinds == {head if sub is None else f"{head}.{sub}"
+                     for head, subs in dsl.COMMANDS.items() for sub in subs}
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("witt wat (1);", "a witt operation"),
+    ("cohen wat (1);", "a cohen operation"),
+    ("point wat X (1);", "'push' or 'pull'"),
+    ("units wat g;", "'level' or 'ppow-solve'"),
+])
+def test_unknown_subcommand_is_reported_at_its_own_position(text, expected):
+    with pytest.raises(ParseError) as err:
+        dsl.parse("\n  " + text)
+    col = len(text.split()[0]) + 4
+    assert (err.value.line, err.value.col) == (2, col)
+    assert (err.value.expected, err.value.found) == (expected, "wat")
+
+
+GRAMMAR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "grammar.ebnf")
+
+
+@pytest.mark.parametrize("head", ["witt", "cohen", "point", "units"])
+def test_grammar_names_the_table_subcommands(head):
+    with open(GRAMMAR) as fh:
+        text = re.sub(r"\(\*.*?\*\)", "", fh.read(), flags=re.S)
+    rule = re.search(rf'^{head}_cmd\s*=\s*"{head}"(.*?)flags ";" ;', text, re.S | re.M)
+    assert set(re.findall(r'"([^"]+)"', rule.group(1))) == set(dsl.COMMANDS[head])
 
 
 def test_unknown_identifier_is_structured():

@@ -637,6 +637,43 @@ def test_restriction_cap_counts_monomials_in_the_new_symbols(params2):
         G.weil_restrict(params2, ["z"], [wide * z * z + z + wide], monomial_cap=4)
 
 
+_LARGE_P_RESTRICTION = """
+import sys
+from gkit import greenberg
+from gkit.basefield import PrimeParams
+from gkit.errors import ResourceLimit
+from gkit.rings import SymbolicRing
+
+params = PrimeParams(4294967291, 1)
+z = SymbolicRing(params, ["z"]).variable("z")
+try:
+    greenberg.weil_restrict(params, ["z"], [z], symbol_cap=5000)
+except ResourceLimit as exc:
+    print(repr(str(exc)))
+"""
+
+
+def test_symbol_cap_is_checked_before_the_refined_symbols_are_listed():
+    """At p = 4294967291 one symbol has p refinements, a list of some
+    hundreds of GiB: the cap refuses it from the count alone.  Run in a
+    child limited to 1 GiB of address space, so that listing them fails
+    fast instead of filling the machine."""
+    import resource
+    import subprocess
+    import sys
+    import time
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", _LARGE_P_RESTRICTION],
+                          capture_output=True, text=True, preexec_fn=limit)
+    assert time.monotonic() - start < 5
+    assert proc.stderr == "", proc.stderr
+    assert proc.stdout == "'4294967291 symbols exceed the cap 5000'\n"
+
+
 def _is_solution_per_term(pres, values):
     """The per-term route: each equation evaluated in k with gcd-normalised
     fractions."""

@@ -139,13 +139,13 @@ def test_to_models_matches_the_eager_route_on_base_components(kind, p):
 
 
 def _chained_mul(f, g, cap=None):
-    """SparsePoly.mul over Z/q as it was: the dense kernel when it applies,
-    else _int_mul, whose cap is checked after each row of the longer
-    operand."""
+    """SparsePoly.mul over Z/q as it was: the dense kernel when it applies
+    and no cap is set, else _int_mul, whose cap is checked after each row
+    of the longer operand."""
     dom = f.domain
     if not f.terms or not g.terms:
         return SparsePoly(dom, f.nvars, {})
-    if len(f.terms) + len(g.terms) > 16:
+    if cap is None and len(f.terms) + len(g.terms) > 16:
         active = P._active_vars(f) | P._active_vars(g)
         if len(active) == 1:
             (v,) = active

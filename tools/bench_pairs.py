@@ -6,7 +6,8 @@ Checks REF out into a temporary git worktree and runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once there
 and once in the working tree for each seed, alternating which side runs
 first (seed by seed: REF first, then the working tree first).  Each side
-runs its own checkout's ``perfbench/`` and ``src/``.  For every gated
+runs its own checkout's ``perfbench/`` and ``src/``, and caches its bytecode
+in a fresh directory of its own (``child_env``).  For every gated
 metric of ``BENCHMARK.json`` it prints each pair, then per side the median,
 the quartiles and the min-max, how many pairs the working tree won (ties
 count for neither side), and one verdict (see ``verdict``).  With
@@ -44,14 +45,22 @@ def parse_seeds(text):
     return seeds
 
 
-def run_once(tree, workload, seed, seconds, trace=0):
-    """The metrics of one benchmark run in ``tree`` (the gated ones, or with
-    ``trace`` the per-layer ones): the last line of its standard output is
-    the result JSON."""
+def child_env(env, tmp, side):
+    """The environment of every run of one side: ``env`` with
+    PYTHONPYCACHEPREFIX set to a directory of that side's own under ``tmp``,
+    so both sides compile gkit afresh, whatever ``__pycache__`` either
+    checkout holds."""
+    return {**env, "PYTHONPYCACHEPREFIX": os.path.join(tmp, f"pycache_{side}")}
+
+
+def run_once(tree, env, workload, seed, seconds, trace=0):
+    """The metrics of one benchmark run in ``tree`` under ``env`` (the gated
+    ones, or with ``trace`` the per-layer ones): the last line of its
+    standard output is the result JSON."""
     done = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
+        cwd=tree, env=env, check=True, stdout=subprocess.PIPE, text=True,
     )
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if not result["correct"]:
@@ -147,10 +156,12 @@ def main(argv=None):
             for n, seed in enumerate(args.seeds):
                 order = [("ref", ref_tree), ("work", ROOT)]
                 for side, tree in order if n % 2 == 0 else order[::-1]:
-                    runs[side].append(run_once(tree, args.workload, seed, args.seconds))
+                    env = child_env(os.environ, tmp, side)
+                    runs[side].append(run_once(tree, env, args.workload, seed, args.seconds))
                     print(f"seed {seed} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
                     if args.trace:
-                        traces[side].append(run_once(tree, args.workload, seed, args.seconds, 1))
+                        traces[side].append(
+                            run_once(tree, env, args.workload, seed, args.seconds, 1))
         finally:
             subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", ref_tree],
                            check=False)
